@@ -13,19 +13,19 @@ package micro
 import "fmt"
 
 // Cache is a set-associative cache with true-LRU replacement.
-// Tags are stored per way; LRU state is an age stamp from a monotonically
-// increasing access counter.
 type Cache struct {
-	name     string
 	sets     int
 	ways     int
 	lineBits uint // log2(line size)
 	setMask  uint64
 
-	tags  []uint64 // sets*ways
-	valid []bool
-	age   []uint64
+	// slots holds the sets*ways lines, set-major. age is the clock at the
+	// slot's last use, with bit 0 set while a prefetched line awaits its
+	// first demand; 0 marks an invalid slot. The clock steps by 2, so valid
+	// ages are distinct and the smallest is the least recently used.
+	slots []struct{ tag, age uint64 }
 	clock uint64
+	last  int // slot of the last demand access, checked before the set scan
 
 	prefetchNext bool
 
@@ -34,11 +34,11 @@ type Cache struct {
 	Misses   uint64
 	// Prefetches counts next-line prefetch requests issued on demand
 	// misses (when the prefetcher is enabled); PrefetchMisses counts the
-	// subset that actually had to fill (were not already resident).
+	// subset that actually had to fill (were not already resident), and
+	// PrefetchUseful the prefetched lines demanded before eviction.
 	Prefetches     uint64
 	PrefetchMisses uint64
 	PrefetchUseful uint64
-	prefetched     map[uint64]bool // lines resident due to prefetch, not yet demanded
 }
 
 // NewCache builds a cache with the given total size, associativity, and
@@ -64,14 +64,11 @@ func NewCache(name string, size, ways, lineSize int) (*Cache, error) {
 		lb++
 	}
 	return &Cache{
-		name:     name,
 		sets:     sets,
 		ways:     ways,
 		lineBits: lb,
 		setMask:  uint64(sets - 1),
-		tags:     make([]uint64, sets*ways),
-		valid:    make([]bool, sets*ways),
-		age:      make([]uint64, sets*ways),
+		slots:    make([]struct{ tag, age uint64 }, sets*ways),
 	}, nil
 }
 
@@ -88,71 +85,70 @@ func MustCache(name string, size, ways, lineSize int) *Cache {
 // EnablePrefetcher turns on the next-line prefetcher: every demand miss
 // also fills the sequentially next line, the dominant hardware prefetch
 // policy for streaming access patterns.
-func (c *Cache) EnablePrefetcher() {
-	c.prefetchNext = true
-	if c.prefetched == nil {
-		c.prefetched = make(map[uint64]bool)
-	}
-}
+func (c *Cache) EnablePrefetcher() { c.prefetchNext = true }
 
 // Access looks up addr, fills on miss, and reports whether it hit.
 func (c *Cache) Access(addr uint64) bool {
 	line := addr >> c.lineBits
-	hit := c.lookupFill(line, false)
-	if !hit && c.prefetchNext {
-		c.Prefetches++
-		if !c.lookupFill(line+1, true) {
-			c.PrefetchMisses++
+	c.clock += 2
+	c.Accesses++
+	// The last demand slot holds line exactly when the set scan would
+	// find it there: a line is resident in at most one slot.
+	s := &c.slots[c.last]
+	if s.tag != line || s.age == 0 {
+		i, hit := c.find(line)
+		c.last = i
+		s = &c.slots[i]
+		if !hit {
+			c.Misses++
+			s.tag, s.age = line, c.clock
+			if c.prefetchNext {
+				c.prefetch(line + 1)
+			}
+			return false
 		}
 	}
-	return hit
+	c.PrefetchUseful += s.age & 1
+	s.age = c.clock
+	return true
 }
 
-// lookupFill performs the set lookup and fill-on-miss for a line address.
-// Demand accesses update the access/miss statistics; prefetch fills do
-// not (they have their own counters at the call site).
-func (c *Cache) lookupFill(line uint64, prefetch bool) bool {
-	c.clock++
-	if !prefetch {
-		c.Accesses++
+// prefetch looks up the next line of a demand miss and fills it, marked,
+// if it is not resident. A hit keeps the line's mark.
+func (c *Cache) prefetch(line uint64) {
+	c.clock += 2
+	c.Prefetches++
+	i, hit := c.find(line)
+	s := &c.slots[i]
+	if hit {
+		s.age = c.clock | s.age&1
+		return
 	}
-	set := int(line & c.setMask)
-	tag := line
-	base := set * c.ways
+	c.PrefetchMisses++
+	s.tag, s.age = line, c.clock|1
+}
 
-	victim := base
-	oldest := ^uint64(0)
-	for w := 0; w < c.ways; w++ {
-		i := base + w
-		if c.valid[i] && c.tags[i] == tag {
-			c.age[i] = c.clock
-			if !prefetch && c.prefetched != nil && c.prefetched[line] {
-				c.PrefetchUseful++
-				delete(c.prefetched, line)
-			}
-			return true
+// find scans line's set and returns the slot holding it, or, on a miss,
+// the slot to refill: the last invalid slot of the set, else the least
+// recently used one.
+func (c *Cache) find(line uint64) (int, bool) {
+	base := int(line&c.setMask) * c.ways
+	set := c.slots[base : base+c.ways]
+	for i := range set {
+		if set[i].tag == line && set[i].age != 0 {
+			return base + i, true
 		}
-		if !c.valid[i] {
+	}
+	// Written to compile without branches: which slot is oldest is unpredictable.
+	victim, oldest := 0, ^uint64(0)
+	for i := range set {
+		a := set[i].age
+		if a <= oldest {
 			victim = i
-			oldest = 0
-		} else if c.age[i] < oldest {
-			victim = i
-			oldest = c.age[i]
 		}
+		oldest = min(oldest, a)
 	}
-	if !prefetch {
-		c.Misses++
-	}
-	if c.prefetched != nil {
-		delete(c.prefetched, c.tags[victim])
-		if prefetch {
-			c.prefetched[line] = true
-		}
-	}
-	c.tags[victim] = tag
-	c.valid[victim] = true
-	c.age[victim] = c.clock
-	return false
+	return base + victim, false
 }
 
 // Sets returns the number of sets.
@@ -188,14 +184,10 @@ func (c *Cache) ResetStats() {
 // Flush invalidates all lines and clears statistics (e.g. a fresh
 // container/machine per measured sample).
 func (c *Cache) Flush() {
-	for i := range c.valid {
-		c.valid[i] = false
-		c.age[i] = 0
+	for i := range c.slots {
+		c.slots[i].age = 0
 	}
 	c.clock = 0
-	if c.prefetched != nil {
-		c.prefetched = make(map[uint64]bool)
-	}
 	c.ResetStats()
 }
 

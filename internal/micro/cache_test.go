@@ -1,6 +1,7 @@
 package micro
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -267,6 +268,22 @@ func TestPrefetcherNeutralOnRandomAccess(t *testing.T) {
 	}
 }
 
+// TestPrefetchUsefulAfterFlush: a prefetched line counts as useful when it
+// is demanded, even if after a Flush a fill lands in the invalid slot that
+// still holds the line's tag from before the flush.
+func TestPrefetchUsefulAfterFlush(t *testing.T) {
+	c := MustCache("f", 4*64, 4, 64) // one set, four ways
+	c.EnablePrefetcher()
+	c.Access(10 * 64) // fills lines 10 and 11
+	c.Access(20 * 64) // fills lines 20 and 21
+	c.Flush()
+	c.Access(20 * 64)  // prefetches line 21 into a slot of its own
+	c.Access(100 * 64) // prefetching line 101 refills the slot line 21 held
+	if !c.Access(21*64) || c.PrefetchUseful != 1 {
+		t.Fatalf("PrefetchUseful = %d, want 1", c.PrefetchUseful)
+	}
+}
+
 func TestPrefetchStatsClearOnReset(t *testing.T) {
 	c := MustCache("r", 1<<10, 2, 64)
 	c.EnablePrefetcher()
@@ -281,4 +298,116 @@ func TestPrefetchStatsClearOnReset(t *testing.T) {
 	if c.Access(0) {
 		t.Fatal("Flush kept contents")
 	}
+}
+
+// TestCacheMatchesReference drives Cache and the reference model in
+// cache_ref_test.go with the same seeded address streams, Flush and
+// ResetStats calls included, and requires every Access result and every
+// statistic to agree, on degenerate geometries and on every cache and TLB
+// of DefaultConfig, with the prefetcher on and off.
+func TestCacheMatchesReference(t *testing.T) {
+	cfg := DefaultConfig()
+	geoms := []struct {
+		name             string
+		size, ways, line int
+	}{
+		{name: "1set", size: 8 * 64, ways: 8, line: 64},
+		{name: "1way", size: 1 << 10, ways: 1, line: 64},
+		{name: "1set1way", size: 64, ways: 1, line: 64},
+		{name: "L1I", size: cfg.L1ISize, ways: cfg.L1IWays, line: cfg.LineSize},
+		{name: "L1D", size: cfg.L1DSize, ways: cfg.L1DWays, line: cfg.LineSize},
+		{name: "L2", size: cfg.L2Size, ways: cfg.L2Ways, line: cfg.LineSize},
+		{name: "LLC", size: cfg.LLCSize, ways: cfg.LLCWays, line: cfg.LineSize},
+		// A TLB is a one-set cache of one-byte lines indexed by page number.
+		{name: "iTLB", size: cfg.ITLBEntries, ways: cfg.ITLBEntries, line: 1},
+		{name: "dTLB", size: cfg.DTLBEntries, ways: cfg.DTLBEntries, line: 1},
+	}
+	seed := uint64(0)
+	for _, g := range geoms {
+		for _, pf := range []bool{false, true} {
+			seed++
+			src := rng.New(seed)
+			t.Run(fmt.Sprintf("%s/prefetch=%v", g.name, pf), func(t *testing.T) {
+				got := MustCache(g.name, g.size, g.ways, g.line)
+				want, err := newRefCache(g.name, g.size, g.ways, g.line)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pf {
+					got.EnablePrefetcher()
+					want.EnablePrefetcher()
+				}
+				stream := newAddrStream(src, uint64(g.size))
+				for op := 0; op < 200_000; op++ {
+					switch r := src.Intn(10_000); {
+					case r == 0:
+						got.Flush()
+						want.Flush()
+					case r < 5:
+						got.ResetStats()
+						want.ResetStats()
+					default:
+						addr := stream.next()
+						if h, w := got.Access(addr), want.Access(addr); h != w {
+							t.Fatalf("op %d: Access(%#x) = %v, reference %v", op, addr, h, w)
+						}
+					}
+					if a, b := cacheStats(got), refStats(want); a != b {
+						t.Fatalf("op %d: stats %+v, reference %+v", op, a, b)
+					}
+				}
+				if got.Accesses == 0 || got.Misses == 0 || (pf && got.PrefetchUseful == 0) {
+					t.Fatalf("stream exercised too little: %+v", cacheStats(got))
+				}
+			})
+		}
+	}
+}
+
+type stats struct {
+	Accesses, Misses, Prefetches, PrefetchMisses, PrefetchUseful uint64
+}
+
+func cacheStats(c *Cache) stats {
+	return stats{c.Accesses, c.Misses, c.Prefetches, c.PrefetchMisses, c.PrefetchUseful}
+}
+
+func refStats(c *refCache) stats {
+	return stats{c.Accesses, c.Misses, c.Prefetches, c.PrefetchMisses, c.PrefetchUseful}
+}
+
+// addrStream mixes the access patterns the simulator produces: sequential
+// walks, random accesses over a few times the cache's reach, re-accesses
+// of recent addresses, and now and then the top of the address space,
+// where with one-byte lines the next line wraps to line 0.
+type addrStream struct {
+	src    *rng.Source
+	region uint64
+	pos    uint64
+	recent [16]uint64
+	n      int
+}
+
+func newAddrStream(src *rng.Source, reach uint64) *addrStream {
+	return &addrStream{src: src, region: 4 * reach}
+}
+
+func (s *addrStream) next() uint64 {
+	var a uint64
+	switch r := s.src.Intn(100); {
+	case r < 40:
+		s.pos = (s.pos + uint64(8<<s.src.Intn(4))) % s.region
+		a = s.pos
+	case r < 70:
+		a = uint64(s.src.Int63()) % s.region
+	case r < 95:
+		a = s.recent[s.src.Intn(len(s.recent))]
+	case r < 99:
+		a = uint64(s.src.Int63()) % (s.region / 16)
+	default:
+		a = ^uint64(0) - uint64(s.src.Intn(256))
+	}
+	s.recent[s.n%len(s.recent)] = a
+	s.n++
+	return a
 }

@@ -196,7 +196,7 @@ func (m *Machine) Reset() {
 	m.randomizeLayout()
 }
 
-// dataLoad performs one data-side memory access through the hierarchy,
+// memAccess performs one data-side memory access through the hierarchy,
 // updating counts. store selects the store counters.
 func (m *Machine) memAccess(addr uint64, store bool, c *Counts) {
 	// TLB
@@ -294,7 +294,10 @@ func (m *Machine) dataAddr(b *Block) uint64 {
 	if stride == 0 {
 		stride = 8
 	}
-	m.dataPos = (m.dataPos + stride) % fp
+	m.dataPos += stride
+	if m.dataPos >= fp {
+		m.dataPos %= fp
+	}
 	return m.dataBase + m.dataPos
 }
 
@@ -316,7 +319,7 @@ func (m *Machine) ExecuteBlock(b Block, n int) (Counts, error) {
 
 	// Bresenham-style schedulers keep the instruction mix exact without a
 	// random draw per instruction.
-	var loadAcc, storeAcc, branchAcc, fetchAcc float64
+	var loadAcc, storeAcc, branchAcc float64
 	const fetchBytes = 16 // one L1I access per 16-byte fetch group
 
 	codeFP := b.CodeFootprint
@@ -325,12 +328,13 @@ func (m *Machine) ExecuteBlock(b Block, n int) (Counts, error) {
 	}
 
 	for i := 0; i < n; i++ {
-		// Instruction fetch (4-byte average instruction length).
-		fetchAcc += 4
-		if fetchAcc >= fetchBytes {
-			fetchAcc -= fetchBytes
+		// Instruction fetch: 4-byte instructions fill a group every 4th.
+		if i&3 == 3 {
 			m.ifetch(m.codeBase+m.codePos, &c)
-			m.codePos = (m.codePos + fetchBytes) % codeFP
+			m.codePos += fetchBytes
+			if m.codePos >= codeFP {
+				m.codePos %= codeFP
+			}
 		}
 
 		loadAcc += b.LoadFrac

@@ -219,7 +219,11 @@ func (f *Flags) Finish() error {
 		obs.Log().Info("perfetto trace written", "path", f.TraceOut, "spans", len(spans))
 	}
 	if f.server != nil {
-		ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+		// A client that dials ahead under concurrency, as Go's transport
+		// does, can leave a connection that never carries a request, and
+		// http.Server.Shutdown counts it busy for 5-6 s after it opened.
+		// The budget outlasts that so such a client cannot fail the drain.
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if err := f.server.Shutdown(ctx); err != nil {
 			return fmt.Errorf("telemetry shutdown: %w", err)

@@ -179,9 +179,9 @@ type Profiler struct {
 	errors   int64
 
 	// trigSig wakes the run loop when pending gains a reason; a signal
-	// arriving mid-duty promotes the in-flight capture instead. Cooldowns
-	// are per reason, not global: a once-per-transition "alert" event
-	// must not be starved by the high-frequency "alarm" stream.
+	// arriving mid-duty promotes an in-flight interval capture instead.
+	// Cooldowns are per reason, not global: a once-per-transition "alert"
+	// event must not be starved by the high-frequency "alarm" stream.
 	trigSig chan struct{}
 
 	mDropped *obs.Counter
@@ -300,8 +300,9 @@ func (p *Profiler) watchBus(quit <-chan struct{}, sub *obs.Subscription) {
 // reason's cooldown window, or while the same reason is already queued,
 // return false. Cooldowns are tracked per reason so a rare rising-edge
 // "alert" is never starved by a storm of per-window "alarm" events. A
-// request landing while a CPU capture is in flight promotes that
-// capture to the new trigger instead of starting another.
+// request landing while an interval CPU capture is in flight promotes
+// that capture to the new trigger instead of starting another; one
+// landing during a triggered capture gets its own cycle after it.
 func (p *Profiler) TriggerCapture(reason string) bool {
 	if p == nil {
 		return false
@@ -369,9 +370,15 @@ func (p *Profiler) captureCPU(quit <-chan struct{}, trigger string, pinned bool)
 		return
 	}
 	// Sleep out the duty window, but stay receptive: a trigger request
-	// arriving mid-window promotes this capture (it already covers the
-	// moment the alert fired), and quit ends the window early so
-	// shutdown never waits out a 10 s duty.
+	// arriving mid-window promotes an interval capture (it already covers
+	// the moment the alert fired), and quit ends the window early so
+	// shutdown never waits out a 10 s duty. A triggered window keeps its
+	// reason: later triggers stay queued for the run loop, so an alarm
+	// storm cannot relabel an alert's capture.
+	var trig <-chan struct{}
+	if !pinned {
+		trig = p.trigSig
+	}
 	deadline := time.NewTimer(p.cfg.Duty)
 	defer deadline.Stop()
 wait:
@@ -379,11 +386,12 @@ wait:
 		select {
 		case <-quit:
 			break wait
-		case <-p.trigSig:
+		case <-trig:
 			// The in-flight window already covers the moment the trigger
 			// fired; promote it instead of starting another capture.
 			if reason, ok := p.nextPending(); ok {
 				trigger, pinned = reason, true
+				trig = nil
 			}
 		case <-deadline.C:
 			break wait

@@ -84,7 +84,9 @@ func TestBusEventTriggersPinnedCapture(t *testing.T) {
 	waitFor(t, func() bool { return p.Stats().Captures >= 5 })
 
 	bus.Publish(obs.Event{Type: "alert", Msg: "rule fired"})
-	waitFor(t, func() bool { return len(p.List("", "alert", 0)) > 0 })
+	// The triggered cycle stores one capture per configured type; wait for
+	// all of them, or the last ones land after `before` is read below.
+	waitFor(t, func() bool { return len(p.List("", "alert", 0)) == 1+len(p.cfg.Snapshots) })
 
 	info, ok := p.Latest(TypeCPU)
 	if !ok {
@@ -99,6 +101,32 @@ func TestBusEventTriggersPinnedCapture(t *testing.T) {
 	time.Sleep(30 * time.Millisecond)
 	if got := p.Stats().Captures; got != before {
 		t.Fatalf("captures %d -> %d after non-trigger event", before, got)
+	}
+}
+
+// TestTriggeredWindowKeepsItsReason: a trigger landing while a triggered
+// CPU window is in flight gets its own cycle instead of relabelling that
+// window, so an alarm storm cannot take an alert's CPU capture.
+func TestTriggeredWindowKeepsItsReason(t *testing.T) {
+	p := testProfiler(t, func(c *Config) {
+		c.Interval = time.Hour
+		c.Duty = 300 * time.Millisecond
+	})
+	stop := p.Start()
+	defer stop()
+	waitFor(t, func() bool { return p.Stats().Captures >= 5 })
+
+	p.TriggerCapture("alert")
+	// The run loop has popped the alert: its CPU window is starting.
+	waitFor(t, func() bool {
+		p.mu.Lock()
+		defer p.mu.Unlock()
+		return len(p.pending) == 0
+	})
+	p.TriggerCapture("alarm")
+	waitFor(t, func() bool { return len(p.List(TypeCPU, "alarm", 0)) == 1 })
+	if got := p.List(TypeCPU, "alert", 0); len(got) != 1 || !got[0].Pinned {
+		t.Fatalf("alert cpu captures = %+v, want one pinned", got)
 	}
 }
 

@@ -39,6 +39,17 @@ func NewSample(class Class, seed uint64) (*Program, error) {
 	default:
 		return nil, fmt.Errorf("workload: unknown class %v", class)
 	}
+	// Each share is jittered on its own, so now and then a phase's load,
+	// store and branch shares sum past 1 (about 1 draw in 12,000). Trim the
+	// branch share by the excess exactly when Block.Validate would reject
+	// the mix; no random number is drawn, so every program that validated
+	// untrimmed is unchanged.
+	for i := range p.Phases {
+		b := &p.Phases[i].Block
+		if sum := b.LoadFrac + b.StoreFrac + b.BranchFrac; sum > 1+1e-9 {
+			b.BranchFrac -= sum - 1
+		}
+	}
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}

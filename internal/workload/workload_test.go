@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -55,8 +56,9 @@ func TestPaperSampleCounts(t *testing.T) {
 }
 
 func TestNewSampleAllClassesValid(t *testing.T) {
+	// 240,000 draws: about 1 in 12,000 needs its mix trimmed.
 	for _, c := range AllClasses() {
-		for seed := uint64(0); seed < 20; seed++ {
+		for seed := uint64(0); seed < 40_000; seed++ {
 			p, err := NewSample(c, seed)
 			if err != nil {
 				t.Fatalf("NewSample(%v, %d): %v", c, seed, err)
@@ -67,6 +69,25 @@ func TestNewSampleAllClassesValid(t *testing.T) {
 			if err := p.Validate(); err != nil {
 				t.Fatalf("sample %v/%d invalid: %v", c, seed, err)
 			}
+		}
+	}
+}
+
+// TestNewSampleTrimsOverfullMix: draws whose jittered load, store and
+// branch shares sum past 1 get their branch share trimmed to fit exactly.
+func TestNewSampleTrimsOverfullMix(t *testing.T) {
+	for _, tc := range []struct {
+		class Class
+		seed  uint64
+		phase int
+	}{{Trojan, 3848, 0}, {Worm, 3250, 1}, {Worm, 3648, 2}} {
+		p, err := NewSample(tc.class, tc.seed)
+		if err != nil {
+			t.Fatalf("NewSample(%v, %d): %v", tc.class, tc.seed, err)
+		}
+		b := p.Phases[tc.phase].Block
+		if sum := b.LoadFrac + b.StoreFrac + b.BranchFrac; math.Abs(sum-1) > 1e-9 {
+			t.Fatalf("%v/%d phase %d: mix sums to %v, want 1", tc.class, tc.seed, tc.phase, sum)
 		}
 	}
 }
