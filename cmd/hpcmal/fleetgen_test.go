@@ -5,18 +5,16 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
-	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/httpapi"
 	"repro/internal/ingest"
 )
 
 // TestFleetgenAgainstServe is the fleet e2e: a pure-ingest serve
 // (-replay=false) absorbs a small fleetgen run, every window lands in a
-// per-tenant scoreboard behind /api/v1/tenants, and the deprecated
-// alias paths still answer with a Deprecation header.
+// per-tenant scoreboard behind /api/v1/tenants, and the serve-level
+// scoreboard answers on /api/v1/quality.
 func TestFleetgenAgainstServe(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -84,27 +82,8 @@ func TestFleetgenAgainstServe(t *testing.T) {
 		t.Fatalf("latency percentiles inverted: %+v", st)
 	}
 
-	// A deprecated alias answers identically to its successor, stamped.
-	respLegacy, err := http.Get(srv.URL() + "/quality")
-	if err != nil {
-		t.Fatal(err)
-	}
-	legacyBody, _ := io.ReadAll(respLegacy.Body)
-	respLegacy.Body.Close()
-	if dep := respLegacy.Header.Get(httpapi.DeprecationHeader); dep != "true" {
-		t.Fatalf("/quality Deprecation = %q", dep)
-	}
-	if link := respLegacy.Header.Get("Link"); !strings.Contains(link, "/api/v1/quality") {
-		t.Fatalf("/quality Link = %q", link)
-	}
-	respV1, err := http.Get(srv.URL() + "/api/v1/quality")
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1Body, _ := io.ReadAll(respV1.Body)
-	respV1.Body.Close()
-	if string(legacyBody) != string(v1Body) {
-		t.Fatalf("alias body differs:\n--- /quality\n%s\n--- /api/v1/quality\n%s", legacyBody, v1Body)
+	if code, _ := getJSON("/api/v1/quality", nil); code != 200 {
+		t.Fatalf("/api/v1/quality = %d", code)
 	}
 
 	cancel()

@@ -125,7 +125,8 @@ shared flags (every command):
                                and per-stage busy/wall speedup)
   -listen ADDR                 serve live telemetry for the run's duration:
                                /metrics (Prometheus), /events (NDJSON/SSE),
-                               /healthz, /buildinfo, /manifest, /debug/pprof
+                               /healthz, /api/v1/buildinfo, /api/v1/manifest,
+                               /debug/pprof
   -trace-out FILE              export the span tree as Chrome trace-event
                                JSON (open at ui.perfetto.dev)
   -cpuprofile / -memprofile FILE   write pprof profiles`)

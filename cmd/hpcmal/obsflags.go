@@ -30,7 +30,8 @@ func addObsFlags(fs *flag.FlagSet) *obsFlags {
 // setup installs the process logger, clears run-scoped metric and span
 // state (so sequential in-process invocations start every run from
 // identical instruments), starts profiling and the -listen telemetry
-// server, and opens the run manifest — published live on /manifest.
+// server, and opens the run manifest — published live on
+// /api/v1/manifest.
 func (f *obsFlags) setup() error {
 	if err := f.Flags.Setup(); err != nil {
 		return err

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -36,7 +37,7 @@ var serveReady func(*telemetry.Server)
 var serveStarted func(*telemetry.Server)
 
 // printVersion implements `hpcmal -version`: the same build identity the
-// run manifests and /buildinfo report.
+// run manifests and /api/v1/buildinfo report.
 func printVersion() {
 	bi := obs.Build()
 	fmt.Printf("hpcmal %s\n", bi.String())
@@ -60,6 +61,16 @@ func cmdServe(args []string) error {
 }
 
 func runServe(ctx context.Context, args []string) error {
+	// The scraper, alert engine and flight-recorder watcher below run on
+	// this derived context and are waited for on return, so a bounded run
+	// (-rounds) leaves nothing scraping, evaluating or recording into the
+	// process-wide registry and bus after it exits. The ingest shards stop
+	// with the same context.
+	ctx, cancel := context.WithCancel(ctx)
+	var bg sync.WaitGroup
+	defer bg.Wait()
+	defer cancel()
+
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	classifier := fs.String("classifier", "J48", "detector classifier (see `hpcmal list`)")
 	precision := fs.String("precision", "float64", "inference numeric domain: float64, int16, or int8 (fixed-point quantized programs mirroring the hw datapath widths)")
@@ -75,7 +86,6 @@ func runServe(ctx context.Context, args []string) error {
 	scrapeInterval := fs.Duration("scrape-interval", time.Second, "metric-history scrape period for /api/v1/query_range and the dashboard")
 	replay := fs.Bool("replay", true, "run the self-generated labeled replay loop (false = pure fleet-ingest server: train, mount /api/v1/ingest, wait for traffic)")
 	ingestQueue := fs.Int("ingest-queue", 16384, "per-tenant ingest queue capacity in windows (full queues answer 429 + Retry-After)")
-	ingestShards := fs.Int("ingest-shards", 0, "detection pipeline shards for the ingest service (0 = the -parallel worker bound)")
 	traceSample := fs.Float64("trace-sample", 0.05, "request-tracing head-sample probability in [0,1] (0 = record only explicitly-sampled traceparents; negative disables tracing)")
 	traceSlow := fs.Duration("trace-slow", 100*time.Millisecond, "tail-keep request traces at least this slow end to end")
 	traceBudget := fs.Int64("trace-budget", 4<<20, "retained request-trace ring budget in `bytes`")
@@ -153,7 +163,8 @@ func runServe(ctx context.Context, args []string) error {
 	store := tsdb.New(tsdb.Config{Interval: *scrapeInterval,
 		PreScrape: of.RuntimeCollector().Update})
 	storePtr.Store(store)
-	go store.Run(ctx)
+	bg.Add(1)
+	go func() { defer bg.Done(); store.Run(ctx) }()
 	srv.SetStore(store)
 	fmt.Printf("telemetry on %s (/metrics /events /dashboard /healthz /readyz /api/v1/{ingest,tenants,traces,profiles,quality,drift,alerts,alerts/history,series,query_range,manifest,models,buildinfo} /debug/flightrecorder /debug/pprof)\n", srv.URL())
 	if serveStarted != nil {
@@ -220,11 +231,12 @@ func runServe(ctx context.Context, args []string) error {
 	defer rec.DumpOnPanic()
 	// Alarms trip the recorder via the bus; firing alert rules via the
 	// engine's hook (each dump named after the rule that fired).
-	go rec.Watch(ctx, obs.DefaultBus, online.EventAlarm)
+	bg.Add(2)
+	go func() { defer bg.Done(); rec.Watch(ctx, obs.DefaultBus, online.EventAlarm) }()
 	eng := alert.New(rules, alert.WithOnFire(func(st alert.RuleStatus) {
 		rec.TryDump("alert-" + st.Rule.Name)
 	}))
-	go eng.Run(ctx, *alertInterval)
+	go func() { defer bg.Done(); eng.Run(ctx, *alertInterval) }()
 	srv.SetQuality(func() any { return board.Snapshot() })
 	srv.SetDrift(func() any { return driftDet.Snapshot() })
 	srv.SetAlerts(func() any { return eng.Snapshot() })
@@ -239,7 +251,6 @@ func runServe(ctx context.Context, args []string) error {
 		Classifier:  clf,
 		Events:      tbl.Attributes,
 		Baseline:    base,
-		Shards:      *ingestShards,
 		QueueCap:    *ingestQueue,
 		Tracer:      reqTracer,
 		Precision:   prec,

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/alert"
 	"repro/internal/obs"
 	"repro/internal/telemetry"
 	"repro/internal/tsdb"
@@ -108,7 +109,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 	}
 
 	// The manifest is published while the run is still in flight.
-	resp, err = http.Get(srv.URL() + "/manifest")
+	resp, err = http.Get(srv.URL() + "/api/v1/manifest")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,11 +138,15 @@ func TestServeGracefulShutdown(t *testing.T) {
 }
 
 // TestServeBoundedRounds checks the -rounds exit path used by CI: the
-// daemon performs its replays and exits on its own, no signal needed.
+// daemon performs its replays and exits on its own, no signal needed,
+// and leaves no background loop behind: once runServe has returned, the
+// metric scraper and the alert engine no longer touch the process-wide
+// registry (a later command's snapshot would otherwise differ).
 func TestServeBoundedRounds(t *testing.T) {
 	srv, errc := startServe(t, context.Background(), []string{
 		"-scale", "0.01", "-perclass", "1", "-windows", "8",
-		"-rounds", "1", "-quiet"})
+		"-rounds", "1", "-scrape-interval", "10ms", "-alert-interval", "10ms",
+		"-quiet"})
 	select {
 	case err := <-errc:
 		if err != nil {
@@ -152,6 +157,15 @@ func TestServeBoundedRounds(t *testing.T) {
 	}
 	if _, err := http.Get(srv.URL() + "/healthz"); err == nil {
 		t.Error("server still up after bounded run")
+	}
+	scrapes := obs.DefaultRegistry.Counter(tsdb.ScrapesMetric).Value()
+	evals := obs.DefaultRegistry.Counter(alert.EvaluationsMetric).Value()
+	time.Sleep(100 * time.Millisecond) // ten scrape and alert periods
+	if got := obs.DefaultRegistry.Counter(tsdb.ScrapesMetric).Value(); got != scrapes {
+		t.Errorf("%s moved %d -> %d after serve returned", tsdb.ScrapesMetric, scrapes, got)
+	}
+	if got := obs.DefaultRegistry.Counter(alert.EvaluationsMetric).Value(); got != evals {
+		t.Errorf("%s moved %d -> %d after serve returned", alert.EvaluationsMetric, evals, got)
 	}
 }
 
@@ -168,8 +182,8 @@ func TestVersionPrints(t *testing.T) {
 
 // TestServeModelQualityStack is the acceptance path for the model-quality
 // layer: a bounded serve with an alert rule file and an incident
-// directory must (1) score the labeled replay on /quality, (2) expose
-// PSI/KS per counter on /drift, (3) fire the alert rule onto the bus,
+// directory must (1) score the labeled replay on /api/v1/quality, (2)
+// expose PSI/KS per counter on /api/v1/drift, (3) fire the alert rule onto the bus,
 // and (4) leave an incident JSON dump behind.
 func TestServeModelQualityStack(t *testing.T) {
 	dir := t.TempDir()
@@ -229,13 +243,13 @@ func TestServeModelQualityStack(t *testing.T) {
 	deadline := time.Now().Add(180 * time.Second)
 	for q.Rotations == 0 || q.WindowObserved == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("/quality never reported a scored window")
+			t.Fatal("/api/v1/quality never reported a scored window")
 		}
-		getJSON("/quality", &q)
+		getJSON("/api/v1/quality", &q)
 		time.Sleep(100 * time.Millisecond)
 	}
 	if len(q.Confusion) != 2 || len(q.Calibration) == 0 {
-		t.Fatalf("/quality = %+v", q)
+		t.Fatalf("/api/v1/quality = %+v", q)
 	}
 	if q.Accuracy <= 0 || q.Accuracy > 1 {
 		t.Fatalf("accuracy = %v", q.Accuracy)
@@ -250,9 +264,9 @@ func TestServeModelQualityStack(t *testing.T) {
 			KS   float64 `json:"ks"`
 		} `json:"features"`
 	}
-	getJSON("/drift", &d)
+	getJSON("/api/v1/drift", &d)
 	if d.WindowObserved == 0 || len(d.Features) == 0 || d.Features[0].Name == "" {
-		t.Fatalf("/drift = %+v", d)
+		t.Fatalf("/api/v1/drift = %+v", d)
 	}
 
 	// The rule fires once monitoring has begun.
@@ -269,11 +283,11 @@ func TestServeModelQualityStack(t *testing.T) {
 		if time.Now().After(deadline) {
 			t.Fatal("alert rule never fired")
 		}
-		getJSON("/alerts", &a)
+		getJSON("/api/v1/alerts", &a)
 		time.Sleep(50 * time.Millisecond)
 	}
 	if a.Rules[0].Rule.Name != "replay-started" || a.Rules[0].State != "firing" {
-		t.Fatalf("/alerts = %+v", a)
+		t.Fatalf("/api/v1/alerts = %+v", a)
 	}
 
 	// The firing rule (and any alarms) left incident dumps behind.
@@ -319,7 +333,7 @@ func TestServeModelQualityStack(t *testing.T) {
 
 	// The manifest embeds the training baseline for drift provenance.
 	var man obs.Manifest
-	getJSON("/manifest", &man)
+	getJSON("/api/v1/manifest", &man)
 	if len(man.Baseline) == 0 {
 		t.Fatal("manifest missing training baseline")
 	}
@@ -369,7 +383,7 @@ func TestServeQualityDeterministicAcrossParallelism(t *testing.T) {
 		// until rotations reaches the round count.
 		deadline := time.Now().Add(180 * time.Second)
 		for {
-			resp, err := http.Get(srv.URL() + "/quality")
+			resp, err := http.Get(srv.URL() + "/api/v1/quality")
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -387,7 +401,7 @@ func TestServeQualityDeterministicAcrossParallelism(t *testing.T) {
 			}
 			time.Sleep(50 * time.Millisecond)
 		}
-		resp, err := http.Get(srv.URL() + "/drift")
+		resp, err := http.Get(srv.URL() + "/api/v1/drift")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -409,10 +423,10 @@ func TestServeQualityDeterministicAcrossParallelism(t *testing.T) {
 	q1, d1 := run("1")
 	q8, d8 := run("8")
 	if q1 != q8 {
-		t.Errorf("/quality differs between -parallel 1 and 8:\n--- 1 ---\n%s\n--- 8 ---\n%s", q1, q8)
+		t.Errorf("/api/v1/quality differs between -parallel 1 and 8:\n--- 1 ---\n%s\n--- 8 ---\n%s", q1, q8)
 	}
 	if d1 != d8 {
-		t.Errorf("/drift differs between -parallel 1 and 8:\n--- 1 ---\n%s\n--- 8 ---\n%s", d1, d8)
+		t.Errorf("/api/v1/drift differs between -parallel 1 and 8:\n--- 1 ---\n%s\n--- 8 ---\n%s", d1, d8)
 	}
 }
 
@@ -541,8 +555,8 @@ func TestServeHistoricalObservability(t *testing.T) {
 	// The firing alert rule lands in the retained event history.
 	var hist tsdb.EventHistory
 	for hist.Total == 0 {
-		if code, body := getJSON("/alerts/history", &hist); code != 200 {
-			t.Fatalf("/alerts/history = %d %s", code, body)
+		if code, body := getJSON("/api/v1/alerts/history", &hist); code != 200 {
+			t.Fatalf("/api/v1/alerts/history = %d %s", code, body)
 		}
 		if time.Now().After(deadline) {
 			t.Fatal("alert never reached the event history")

@@ -59,6 +59,10 @@ func GenerateDataset(cfg DatasetConfig) (*dataset.Table, error) {
 	return dataset.Generate(gen)
 }
 
+// trainFrac is the training share of a RunDetector split: the paper's
+// 70/30.
+const trainFrac = 0.7
+
 // DetectorConfig describes one train/evaluate run.
 type DetectorConfig struct {
 	// Classifier is one of ClassifierNames().
@@ -67,8 +71,6 @@ type DetectorConfig struct {
 	Features []string
 	// Binary selects malware-vs-benign; false runs the 6-class problem.
 	Binary bool
-	// TrainFrac is the training share (default 0.7, the paper's split).
-	TrainFrac float64
 	// Seed controls the split and stochastic learners.
 	Seed uint64
 	// SplitByRows uses the paper's row-level 70/30 split; the default
@@ -90,9 +92,6 @@ type DetectorResult struct {
 // RunDetector trains and evaluates one classifier on the table per the
 // paper's protocol and (unless disabled) synthesizes its hardware cost.
 func RunDetector(tbl *dataset.Table, cfg DetectorConfig) (*DetectorResult, error) {
-	if cfg.TrainFrac <= 0 || cfg.TrainFrac >= 1 {
-		cfg.TrainFrac = 0.7
-	}
 	work := tbl
 	feats := cfg.Features
 	if len(feats) > 0 {
@@ -108,9 +107,9 @@ func RunDetector(tbl *dataset.Table, cfg DetectorConfig) (*DetectorResult, error
 	var train, test *dataset.Table
 	var err error
 	if cfg.SplitByRows {
-		train, test, err = work.SplitRows(cfg.TrainFrac, cfg.Seed)
+		train, test, err = work.SplitRows(trainFrac, cfg.Seed)
 	} else {
-		train, test, err = work.SplitBySample(cfg.TrainFrac, cfg.Seed)
+		train, test, err = work.SplitBySample(trainFrac, cfg.Seed)
 	}
 	if err != nil {
 		return nil, err

@@ -52,11 +52,6 @@ func WithScale(scale float64) Option {
 	return func(c *Config) { c.Scale = scale }
 }
 
-// WithTrace overrides the measurement configuration.
-func WithTrace(tc trace.Config) Option {
-	return func(c *Config) { c.Trace = tc }
-}
-
 // WithProgress installs a completion callback (see Config.Progress). It
 // may be invoked from worker goroutines and must be safe for concurrent
 // use.

@@ -81,19 +81,24 @@ type Incident struct {
 	Stack string `json:"stack,omitempty"`
 }
 
+// Ring depths and dump limits.
+const (
+	// windowDepth and eventDepth bound the rings.
+	windowDepth = 256
+	eventDepth  = 128
+	// dumpCooldown suppresses automatic dumps closer together than
+	// this, so an alarm storm produces one incident, not hundreds.
+	dumpCooldown = 10 * time.Second
+	// maxIncidents stops automatic dumps once the process has written
+	// this many incident files.
+	maxIncidents = 32
+)
+
 // Config configures a Recorder.
 type Config struct {
 	// Dir is where incident files land (required for dumps; an empty Dir
 	// records but refuses to dump).
 	Dir string
-	// WindowDepth / EventDepth bound the rings (defaults 256 / 128).
-	WindowDepth int
-	EventDepth  int
-	// Cooldown suppresses dumps closer together than this (default 10s),
-	// so an alarm storm produces one incident, not hundreds.
-	Cooldown time.Duration
-	// MaxIncidents caps files written per process lifetime (default 32).
-	MaxIncidents int
 	// Registry is snapshotted into dumps and receives the recorder's own
 	// metrics (default obs.DefaultRegistry).
 	Registry *obs.Registry
@@ -135,25 +140,13 @@ type Recorder struct {
 // New builds a recorder. Dir may be empty for record-only use (tests,
 // dry runs); Dump then returns an error.
 func New(cfg Config) *Recorder {
-	if cfg.WindowDepth <= 0 {
-		cfg.WindowDepth = 256
-	}
-	if cfg.EventDepth <= 0 {
-		cfg.EventDepth = 128
-	}
-	if cfg.Cooldown <= 0 {
-		cfg.Cooldown = 10 * time.Second
-	}
-	if cfg.MaxIncidents <= 0 {
-		cfg.MaxIncidents = 32
-	}
 	if cfg.Registry == nil {
 		cfg.Registry = obs.DefaultRegistry
 	}
 	r := &Recorder{
 		cfg:     cfg,
-		windows: make([]WindowRecord, cfg.WindowDepth),
-		events:  make([]obs.Event, cfg.EventDepth),
+		windows: make([]WindowRecord, windowDepth),
+		events:  make([]obs.Event, eventDepth),
 	}
 	r.mIncident = cfg.Registry.Counter(IncidentsMetric)
 	r.mSuppress = cfg.Registry.Counter(SuppressedMetric)
@@ -295,8 +288,8 @@ func (r *Recorder) TryDump(reason string) string {
 		return ""
 	}
 	r.mu.Lock()
-	suppressed := r.seq >= r.cfg.MaxIncidents ||
-		(!r.lastDump.IsZero() && time.Since(r.lastDump) < r.cfg.Cooldown)
+	suppressed := r.seq >= maxIncidents ||
+		(!r.lastDump.IsZero() && time.Since(r.lastDump) < dumpCooldown)
 	r.mu.Unlock()
 	if suppressed {
 		r.mSuppress.Inc()

@@ -25,15 +25,19 @@ func testRecorder(t *testing.T, cfg Config) *Recorder {
 
 func TestRecorderRingAndDump(t *testing.T) {
 	dir := t.TempDir()
-	r := testRecorder(t, Config{Dir: dir, WindowDepth: 4, EventDepth: 2})
-	// Overfill the window ring: only the newest 4 survive, oldest-first.
-	for i := 0; i < 6; i++ {
+	r := testRecorder(t, Config{Dir: dir})
+	// Overfill the window ring by two: only the newest windowDepth
+	// survive, oldest-first.
+	last := windowDepth + 1
+	for i := 0; i <= last; i++ {
 		r.RecordWindow(WindowRecord{Window: i, Predicted: i % 2, Score: float64(i) / 10,
 			Sample: "rootkit_001", Values: []float64{float64(i), 2}})
 	}
 	r.RecordEvent(obs.Event{Type: "window", Window: 4})
 	r.RecordEvent(obs.Event{Type: "alarm", Window: 5})
-	r.RecordEvent(obs.Event{Type: "drift", Window: 5}) // evicts "window"
+	for i := 0; i < eventDepth-1; i++ {
+		r.RecordEvent(obs.Event{Type: "drift", Window: 5}) // the last evicts "window"
+	}
 
 	path, err := r.Dump("alarm")
 	if err != nil {
@@ -53,10 +57,12 @@ func TestRecorderRingAndDump(t *testing.T) {
 	if inc.Reason != "alarm" || inc.Seq != 1 || inc.TimeUnixMS == 0 {
 		t.Fatalf("incident header = %+v", inc)
 	}
-	if len(inc.Windows) != 4 || inc.Windows[0].Window != 2 || inc.Windows[3].Window != 5 {
-		t.Fatalf("windows = %+v, want [2 3 4 5]", inc.Windows)
+	if len(inc.Windows) != windowDepth || inc.Windows[0].Window != 2 ||
+		inc.Windows[windowDepth-1].Window != last {
+		t.Fatalf("windows = %+v, want [2 .. %d]", inc.Windows, last)
 	}
-	if len(inc.Events) != 2 || inc.Events[0].Type != "alarm" || inc.Events[1].Type != "drift" {
+	if len(inc.Events) != eventDepth || inc.Events[0].Type != "alarm" ||
+		inc.Events[eventDepth-1].Type != "drift" {
 		t.Fatalf("events = %+v", inc.Events)
 	}
 	if inc.Build == nil || inc.Build.GoVersion == "" {
@@ -80,7 +86,7 @@ func TestRecordWindowCopiesValues(t *testing.T) {
 func TestTryDumpCooldownAndCap(t *testing.T) {
 	dir := t.TempDir()
 	reg := obs.NewRegistry()
-	r := New(Config{Dir: dir, Cooldown: time.Hour, MaxIncidents: 2, Registry: reg})
+	r := New(Config{Dir: dir, Registry: reg})
 	if p := r.TryDump("alarm"); p == "" {
 		t.Fatal("first dump suppressed")
 	}
@@ -91,14 +97,16 @@ func TestTryDumpCooldownAndCap(t *testing.T) {
 		t.Errorf("suppressed counter = %d, want 1", got)
 	}
 
-	// With no cooldown the cap still binds.
-	r2 := New(Config{Dir: t.TempDir(), Cooldown: time.Nanosecond, MaxIncidents: 2, Registry: obs.NewRegistry()})
-	time.Sleep(time.Millisecond)
-	r2.TryDump("a")
-	time.Sleep(time.Millisecond)
-	r2.TryDump("b")
-	time.Sleep(time.Millisecond)
-	if p := r2.TryDump("c"); p != "" {
+	// Past the cooldown every time, the lifetime cap still binds.
+	r2 := New(Config{Dir: t.TempDir(), Registry: obs.NewRegistry()})
+	for i := 0; i < maxIncidents; i++ {
+		r2.lastDump = r2.lastDump.Add(-dumpCooldown)
+		if p := r2.TryDump("a"); p == "" {
+			t.Fatalf("dump %d of %d suppressed", i+1, maxIncidents)
+		}
+	}
+	r2.lastDump = r2.lastDump.Add(-dumpCooldown)
+	if p := r2.TryDump("over-cap"); p != "" {
 		t.Fatalf("cap did not suppress: %q", p)
 	}
 }

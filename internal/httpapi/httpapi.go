@@ -12,11 +12,6 @@
 // request, 404 not found, 405 method not allowed, 429 backpressure,
 // 503 not ready) and the code field a stable machine-readable reason
 // within that status.
-//
-// Legacy pre-v1 paths stay routable through Alias, which serves the
-// identical body while stamping a `Deprecation` header and an RFC 8288
-// successor-version Link so fleets can find stragglers in access logs
-// before the old paths are removed.
 package httpapi
 
 import (
@@ -87,22 +82,6 @@ func Methods(h http.HandlerFunc, methods ...string) http.HandlerFunc {
 		Errorf(w, http.StatusMethodNotAllowed, CodeMethodNotAllowed,
 			"method %s not allowed on %s (allow: %s)",
 			r.Method, r.URL.Path, strings.Join(methods, ", "))
-	}
-}
-
-// DeprecationHeader is the header stamped on legacy alias paths. The
-// literal "true" form follows the IETF deprecation-header draft for
-// deprecations without a scheduled date.
-const DeprecationHeader = "Deprecation"
-
-// Alias serves a legacy path from its successor's handler, byte-for-byte
-// identically, while marking the response deprecated: the Deprecation
-// header plus a Link pointing clients at the /api/v1 successor.
-func Alias(successor string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set(DeprecationHeader, "true")
-		w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		h(w, r)
 	}
 }
 

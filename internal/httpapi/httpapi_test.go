@@ -51,25 +51,3 @@ func TestMethodsGuard(t *testing.T) {
 		t.Fatalf("HEAD on GET-only = %d", rec.Code)
 	}
 }
-
-func TestAliasStampsDeprecation(t *testing.T) {
-	h := Alias("/api/v1/quality", func(w http.ResponseWriter, _ *http.Request) {
-		WriteJSON(w, map[string]any{"f1": 0.9})
-	})
-	rec := httptest.NewRecorder()
-	h(rec, httptest.NewRequest(http.MethodGet, "/quality", nil))
-	if rec.Header().Get(DeprecationHeader) != "true" {
-		t.Fatalf("missing Deprecation header: %v", rec.Header())
-	}
-	if link := rec.Header().Get("Link"); !strings.Contains(link, "/api/v1/quality") ||
-		!strings.Contains(link, "successor-version") {
-		t.Fatalf("Link = %q", link)
-	}
-
-	// Body must be identical to the successor's.
-	direct := httptest.NewRecorder()
-	WriteJSON(direct, map[string]any{"f1": 0.9})
-	if rec.Body.String() != direct.Body.String() {
-		t.Fatalf("alias body differs:\n%s\nvs\n%s", rec.Body.String(), direct.Body.String())
-	}
-}

@@ -144,9 +144,9 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 				return
 			}
 			batch.Windows = append(batch.Windows, win)
-			if len(batch.Windows) > s.cfg.MaxBatchWindows {
+			if len(batch.Windows) > maxBatchWindows {
 				httpapi.Errorf(w, http.StatusBadRequest, httpapi.CodeBadRequest,
-					"batch exceeds %d windows", s.cfg.MaxBatchWindows)
+					"batch exceeds %d windows", maxBatchWindows)
 				return
 			}
 		}
@@ -204,9 +204,9 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 			"batch has no windows")
 		return
 	}
-	if len(batch.Windows) > s.cfg.MaxBatchWindows {
+	if len(batch.Windows) > maxBatchWindows {
 		httpapi.Errorf(w, http.StatusBadRequest, httpapi.CodeBadRequest,
-			"batch exceeds %d windows", s.cfg.MaxBatchWindows)
+			"batch exceeds %d windows", maxBatchWindows)
 		return
 	}
 	for i := range batch.Windows {
@@ -217,8 +217,8 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	// Head-sampling decision (tenant-aware, so it waits for the decoded
-	// tenant id). The accept span covers decode + validation.
+	// Head-sampling decision, once the trace can carry the decoded tenant
+	// id. The accept span covers decode + validation.
 	at := s.cfg.Tracer.Sample(tc, "ingest", tenantID, reqStartNS)
 	if at != nil {
 		at.AddSpan("ingest.accept", reqStartNS, time.Now().UnixNano(),
@@ -261,9 +261,12 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	w.WriteHeader(http.StatusAccepted)
 	httpapi.WriteJSON(w, res)
-	// Release the trace: it commits once every accepted window has its
-	// verdict (immediately, when the shards already drained the batch).
-	at.End(time.Now().UnixNano())
+	// Release the trace without moving its end (End keeps the later of
+	// the two): the root ends at the last verdict, not at the response
+	// write, so the staged spans cover it. It commits once every accepted
+	// window has its verdict (immediately, when the shards already
+	// drained the batch).
+	at.End(0)
 }
 
 // validateWindow enforces the wire schema: the trained feature

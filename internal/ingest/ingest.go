@@ -18,7 +18,7 @@
 // Every tenant is pinned to exactly one shard (FNV hash), so its windows
 // are classified in arrival order by a single goroutine: all per-tenant
 // state is single-writer, and because the scoreboard and drift detector
-// accumulate commutative counts rotated every RotateEvery windows, the
+// accumulate commutative counts rotated every rotateEvery windows, the
 // per-tenant quality snapshots are byte-identical at any shard count —
 // the same determinism contract the rest of the pipeline keeps.
 //
@@ -102,6 +102,25 @@ const (
 	OverflowDropOldest = "drop_oldest"
 )
 
+// Service limits and detection cadence.
+const (
+	// maxBatchWindows bounds one request's window count.
+	maxBatchWindows = 8192
+	// maxTenants bounds the tenant map; excess tenants are rejected with
+	// a tenant_limit error.
+	maxTenants = 1024
+	// maxEndpoints bounds a tenant's alarm-smoother map; windows from
+	// excess endpoints are classified but not alarm-smoothed.
+	maxEndpoints = 1024
+	// rotateEvery is the per-tenant quality/drift epoch length in
+	// windows: the sliding scoreboard window is 8 rotations.
+	rotateEvery = 4096
+	// smootherWindow and smootherThreshold configure each endpoint's
+	// majority-vote alarm smoother.
+	smootherWindow    = 8
+	smootherThreshold = 0.5
+)
+
 // Config wires a Service.
 type Config struct {
 	// Classifier is the trained binary detector. Compilable classifiers
@@ -120,22 +139,6 @@ type Config struct {
 	Shards int
 	// QueueCap bounds each tenant's queue in windows (default 16384).
 	QueueCap int
-	// MaxBatchWindows bounds one request's window count (default 8192).
-	MaxBatchWindows int
-	// MaxTenants bounds the tenant map (default 1024); excess tenants are
-	// rejected with a tenant_limit error.
-	MaxTenants int
-	// MaxEndpoints bounds the per-tenant alarm-smoother map (default
-	// 1024); windows from excess endpoints are classified but not
-	// alarm-smoothed.
-	MaxEndpoints int
-	// RotateEvery is the per-tenant quality/drift epoch length in windows
-	// (default 4096): the sliding scoreboard window is 8 rotations.
-	RotateEvery int
-	// SmootherWindow and SmootherThreshold configure the per-endpoint
-	// majority-vote alarm smoother (defaults 8 and 0.5).
-	SmootherWindow    int
-	SmootherThreshold float64
 	// Registry receives the fleet-level ingest metrics (default
 	// obs.DefaultRegistry).
 	Registry *obs.Registry
@@ -170,24 +173,6 @@ func (c *Config) fillDefaults() error {
 	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 16384
-	}
-	if c.MaxBatchWindows <= 0 {
-		c.MaxBatchWindows = 8192
-	}
-	if c.MaxTenants <= 0 {
-		c.MaxTenants = 1024
-	}
-	if c.MaxEndpoints <= 0 {
-		c.MaxEndpoints = 1024
-	}
-	if c.RotateEvery <= 0 {
-		c.RotateEvery = 4096
-	}
-	if c.SmootherWindow <= 0 {
-		c.SmootherWindow = 8
-	}
-	if c.SmootherThreshold <= 0 || c.SmootherThreshold > 1 {
-		c.SmootherThreshold = 0.5
 	}
 	if c.Registry == nil {
 		c.Registry = obs.DefaultRegistry
@@ -306,6 +291,11 @@ type Service struct {
 	started atomic.Bool
 	startNS atomic.Int64
 
+	// rotateEvery is the quality/drift epoch length in windows: the
+	// rotateEvery constant, shortened only by in-package tests that need
+	// rotations inside a short stream.
+	rotateEvery int
+
 	// Per-tenant quality/drift instruments export their gauges into this
 	// private registry (and drift events into the private bus) so the
 	// fleet-level /metrics surface stays O(1) in tenant count.
@@ -331,11 +321,12 @@ func New(cfg Config) (*Service, error) {
 		return nil, err
 	}
 	s := &Service{
-		cfg:       cfg,
-		dim:       len(cfg.Events),
-		tenants:   make(map[string]*tenant),
-		tenantReg: obs.NewRegistry(),
-		tenantBus: obs.NewBus(),
+		cfg:         cfg,
+		dim:         len(cfg.Events),
+		tenants:     make(map[string]*tenant),
+		rotateEvery: rotateEvery,
+		tenantReg:   obs.NewRegistry(),
+		tenantBus:   obs.NewBus(),
 	}
 	if cfg.Precision != infer.Float64 {
 		// Quantized deployment is explicit: no interpreted fallback, and
@@ -449,8 +440,8 @@ func (s *Service) getTenant(id string) (*tenant, error) {
 	if t = s.tenants[id]; t != nil {
 		return t, nil
 	}
-	if len(s.tenants) >= s.cfg.MaxTenants {
-		return nil, &TenantLimitError{Limit: s.cfg.MaxTenants}
+	if len(s.tenants) >= maxTenants {
+		return nil, &TenantLimitError{Limit: maxTenants}
 	}
 	t = &tenant{
 		id:        id,
@@ -506,6 +497,10 @@ func (s *Service) EnqueueTraced(tenantID, overflow string, ws []Window, at *obs.
 	if s.started.Load() && s.ctx.Err() != nil {
 		return Accepted{}, ErrStopped
 	}
+	// The enqueue stage starts before the tenant lookup: a tenant's first
+	// batch allocates its queue and detectors there, and that time must
+	// fall inside a span, not between the accept and dequeue spans.
+	now := time.Now().UnixNano()
 	t, err := s.getTenant(tenantID)
 	if err != nil {
 		if _, ok := err.(*TenantLimitError); ok {
@@ -514,7 +509,6 @@ func (s *Service) EnqueueTraced(tenantID, overflow string, ws []Window, at *obs.
 		}
 		return Accepted{}, err
 	}
-	now := time.Now().UnixNano()
 	capN := s.cfg.QueueCap
 
 	t.mu.Lock()
@@ -785,7 +779,7 @@ func (s *Service) drainTenant(t *tenant, sc *shardScratch) int {
 		if t.drift != nil {
 			t.drift.Observe(w.values)
 		}
-		if es := t.endpoint(w.endpoint, s.cfg); es != nil {
+		if es := t.endpoint(w.endpoint); es != nil {
 			raised := es.sm.Observe(pred)
 			if raised && !es.alarmed {
 				alarms++
@@ -799,7 +793,7 @@ func (s *Service) drainTenant(t *tenant, sc *shardScratch) int {
 			es.alarmed = raised
 		}
 		t.sinceRotate++
-		if t.sinceRotate >= s.cfg.RotateEvery {
+		if t.sinceRotate >= s.rotateEvery {
 			t.board.Advance()
 			if t.drift != nil {
 				t.drift.Advance()
@@ -873,15 +867,15 @@ func (s *Service) emitDrainSpans(sc *shardScratch, n, depth int, dequeueNS, infe
 // endpoint returns the window's alarm-smoother state, creating it up to
 // the per-tenant cap (nil beyond it: the window is classified and
 // scored, just not alarm-smoothed).
-func (t *tenant) endpoint(id string, cfg Config) *endpointState {
+func (t *tenant) endpoint(id string) *endpointState {
 	if es, ok := t.endpoints[id]; ok {
 		return es
 	}
-	if len(t.endpoints) >= cfg.MaxEndpoints {
+	if len(t.endpoints) >= maxEndpoints {
 		return nil
 	}
 	es := &endpointState{sm: &online.MajorityVoter{
-		Window: cfg.SmootherWindow, Threshold: cfg.SmootherThreshold}}
+		Window: smootherWindow, Threshold: smootherThreshold}}
 	es.sm.Reset()
 	t.endpoints[id] = es
 	t.endpointCount.Store(int64(len(t.endpoints)))

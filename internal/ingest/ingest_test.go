@@ -177,7 +177,7 @@ func TestDropOldestPolicy(t *testing.T) {
 // POST /api/v1/ingest: every rejection is a 400 with the stable
 // envelope, never a plain-text error.
 func TestIngestValidation(t *testing.T) {
-	s, err := New(testConfig(t, func(c *Config) { c.MaxBatchWindows = 4 }))
+	s, err := New(testConfig(t, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestIngestValidation(t *testing.T) {
 		{name: "oversize batch", tenant: "t",
 			body: func() string {
 				b := Batch{}
-				for i := 0; i < 5; i++ {
+				for i := 0; i <= maxBatchWindows; i++ {
 					b.Windows = append(b.Windows, win("e", 0))
 				}
 				j, _ := json.Marshal(b)
@@ -300,9 +300,14 @@ func TestNDJSONIngest(t *testing.T) {
 // TestTenantLimit rejects one tenant too many with the tenant_limit
 // envelope.
 func TestTenantLimit(t *testing.T) {
-	s, err := New(testConfig(t, func(c *Config) { c.MaxTenants = 2 }))
+	s, err := New(testConfig(t, nil))
 	if err != nil {
 		t.Fatal(err)
+	}
+	// Fill the tenant map to two short of the limit, so the test drives
+	// the real bound without allocating a thousand queues.
+	for i := 0; i < maxTenants-2; i++ {
+		s.tenants[fmt.Sprintf("filler-%04d", i)] = &tenant{}
 	}
 	h := s.Handler()
 	one := Batch{Windows: []Window{win("e", 0)}}
@@ -405,12 +410,12 @@ func streamBatches(t *testing.T, shards int, rt *obs.ReqTracer) map[string]strin
 	s, err := New(testConfig(t, func(c *Config) {
 		c.Shards = shards
 		c.Baseline = base
-		c.RotateEvery = 16 // exercise epoch rotation inside the stream
 		c.Tracer = rt
 	}))
 	if err != nil {
 		t.Fatal(err)
 	}
+	s.rotateEvery = 16 // exercise epoch rotation inside the stream
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	s.Start(ctx)
@@ -470,10 +475,7 @@ func TestAlarmRisingEdge(t *testing.T) {
 	bus := obs.NewBus()
 	sub := bus.Subscribe(64)
 	defer sub.Close()
-	s, err := New(testConfig(t, func(c *Config) {
-		c.Bus = bus
-		c.SmootherWindow = 4
-	}))
+	s, err := New(testConfig(t, func(c *Config) { c.Bus = bus }))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -102,29 +102,31 @@ type ReqTraceStats struct {
 // usable: no head sampling (only explicitly-sampled traceparents record),
 // 100 ms slow threshold, 4 MiB ring.
 type ReqTracerConfig struct {
-	// HeadRatio is the default per-request head-sampling probability in
-	// [0,1] for requests that arrive without a sampled traceparent.
+	// HeadRatio is the per-request head-sampling probability in [0,1]
+	// for requests that arrive without a sampled traceparent.
 	HeadRatio float64
-	// TenantRatio overrides HeadRatio per tenant id.
-	TenantRatio map[string]float64
 	// SlowThreshold marks a completed trace as tail-kept ("slow") when
 	// its root duration reaches it. 0 means the 100 ms default; negative
 	// disables the slow rule.
 	SlowThreshold time.Duration
 	// MaxBytes bounds the estimated retained bytes (default 4 MiB).
 	MaxBytes int64
-	// MaxTraces bounds the retained trace count (default 1024).
-	MaxTraces int
-	// MaxSpans bounds spans per trace (default 256); excess spans are
-	// counted in DroppedSpans rather than stored.
-	MaxSpans int
 	// Registry receives the reqtrace.* metrics when non-nil.
 	Registry *Registry
 }
 
+// Retention bounds besides the byte budget.
+const (
+	// maxTraces bounds the retained trace count.
+	maxTraces = 1024
+	// maxSpans bounds spans per trace; excess spans are counted in
+	// DroppedSpans rather than stored.
+	maxSpans = 256
+)
+
 // ReqTracer records request-scoped traces into a bounded drop-oldest
 // ring. Sampling is two-layered: a cheap head decision at request entry
-// (explicit W3C sampled flag, else a per-tenant coin flip) picks which
+// (explicit W3C sampled flag, else a coin flip) picks which
 // requests record spans at all, and tail keep rules — slow, errored, or
 // explicitly kept (alarm-coincident) — decide which completed traces the
 // ring protects when evicting to stay inside its byte budget.
@@ -134,9 +136,10 @@ type ReqTracerConfig struct {
 // and allocation-free.
 type ReqTracer struct {
 	slowNS    int64
-	defThresh uint64            // head-sample threshold in [0, MaxUint64]
-	tenThresh map[string]uint64 // per-tenant overrides
+	threshold uint64 // head-sample threshold in [0, MaxUint64]
 	maxBytes  int64
+	// maxTraces and maxSpans hold the package constants; in-package
+	// tests shrink them to reach eviction with a handful of traces.
 	maxTraces int
 	maxSpans  int
 
@@ -165,28 +168,16 @@ type ringEntry struct {
 func NewReqTracer(cfg ReqTracerConfig) *ReqTracer {
 	rt := &ReqTracer{
 		slowNS:    int64(cfg.SlowThreshold),
-		defThresh: headThreshold(cfg.HeadRatio),
+		threshold: headThreshold(cfg.HeadRatio),
 		maxBytes:  cfg.MaxBytes,
-		maxTraces: cfg.MaxTraces,
-		maxSpans:  cfg.MaxSpans,
+		maxTraces: maxTraces,
+		maxSpans:  maxSpans,
 	}
 	if rt.slowNS == 0 {
 		rt.slowNS = int64(100 * time.Millisecond)
 	}
 	if rt.maxBytes <= 0 {
 		rt.maxBytes = 4 << 20
-	}
-	if rt.maxTraces <= 0 {
-		rt.maxTraces = 1024
-	}
-	if rt.maxSpans <= 0 {
-		rt.maxSpans = 256
-	}
-	if len(cfg.TenantRatio) > 0 {
-		rt.tenThresh = make(map[string]uint64, len(cfg.TenantRatio))
-		for t, r := range cfg.TenantRatio {
-			rt.tenThresh[t] = headThreshold(r)
-		}
 	}
 	if cfg.Registry != nil {
 		rt.cStarted = cfg.Registry.Counter(ReqTraceStartedMetric)
@@ -212,8 +203,8 @@ func headThreshold(ratio float64) uint64 {
 // Sample makes the head-sampling decision for one incoming request and,
 // when it records, opens the root trace. tc is the parsed traceparent
 // (zero value when the request carried none): a valid sampled context
-// always records and joins the caller's trace id; otherwise the
-// per-tenant head ratio decides on a fresh root. Returns nil when the
+// always records and joins the caller's trace id; otherwise the head
+// ratio decides on a fresh root. Returns nil when the
 // request is not recorded — every ActiveTrace method is nil-safe, so the
 // caller threads the pointer through unconditionally.
 func (rt *ReqTracer) Sample(tc TraceContext, name, tenant string, startNS int64) *ActiveTrace {
@@ -223,13 +214,7 @@ func (rt *ReqTracer) Sample(tc TraceContext, name, tenant string, startNS int64)
 	join := tc.Valid()
 	record := join && tc.Sampled()
 	if !record {
-		th := rt.defThresh
-		if rt.tenThresh != nil {
-			if t, ok := rt.tenThresh[tenant]; ok {
-				th = t
-			}
-		}
-		record = th != 0 && nextID() <= th
+		record = rt.threshold != 0 && nextID() <= rt.threshold
 	}
 	if !record {
 		return nil
@@ -512,7 +497,8 @@ func (at *ActiveTrace) FinishPending(n int, endNS int64) {
 
 // End releases the trace from the request handler at endNS (unix nanos).
 // With no pending windows it commits immediately; otherwise the last
-// FinishPending commits.
+// FinishPending commits. The trace's end moves only to a later endNS, so
+// End(0) releases without moving it.
 func (at *ActiveTrace) End(endNS int64) {
 	if at == nil {
 		return

@@ -47,16 +47,6 @@ func TestReqTracerHeadSampling(t *testing.T) {
 			t.Fatal("ratio 1 skipped a request")
 		}
 	}
-
-	// Per-tenant override beats the default.
-	per := NewReqTracer(ReqTracerConfig{HeadRatio: 1,
-		TenantRatio: map[string]float64{"quiet": 0}})
-	if per.Sample(TraceContext{}, "ingest", "quiet", 0) != nil {
-		t.Fatal("tenant override ratio 0 still sampled")
-	}
-	if per.Sample(TraceContext{}, "ingest", "loud", 0) == nil {
-		t.Fatal("non-overridden tenant lost the default ratio")
-	}
 }
 
 func TestReqTracerTailKeepRules(t *testing.T) {
@@ -136,7 +126,8 @@ func TestReqTracerPendingProtocol(t *testing.T) {
 
 func TestReqTracerEviction(t *testing.T) {
 	reg := NewRegistry()
-	rt := NewReqTracer(ReqTracerConfig{HeadRatio: 1, MaxTraces: 4, Registry: reg})
+	rt := NewReqTracer(ReqTracerConfig{HeadRatio: 1, Registry: reg})
+	rt.maxTraces = 4
 	var keptID string
 	for i := 0; i < 12; i++ {
 		at := rt.Sample(TraceContext{}, "ingest", "acme", 0)
@@ -180,7 +171,8 @@ func TestReqTracerEviction(t *testing.T) {
 }
 
 func TestReqTracerSpanCapAndList(t *testing.T) {
-	rt := NewReqTracer(ReqTracerConfig{HeadRatio: 1, MaxSpans: 4})
+	rt := NewReqTracer(ReqTracerConfig{HeadRatio: 1})
+	rt.maxSpans = 4
 	at := rt.Sample(TraceContext{}, "ingest", "acme", 0)
 	for i := 0; i < 10; i++ {
 		at.AddSpan("stage", 0, 1)

@@ -17,19 +17,18 @@ import (
 // spans must use Span.Child, which attaches to an explicit parent and
 // never touches the shared stack, making it safe to call from any
 // goroutine.
-// Retention: the tracer keeps at most a bounded number of spans
-// (DefaultSpanLimit unless SetLimit overrides it). When a new span would
-// exceed the cap, whole ended root subtrees are dropped oldest-first and
-// counted — long-running daemons like `hpcmal serve` trace every replay
-// round for the life of the process, and unbounded retention was a slow
-// leak. Active (un-ended) spans are never dropped.
+// Retention: the tracer keeps at most DefaultSpanLimit spans. When a new
+// span would exceed the cap, whole ended root subtrees are dropped
+// oldest-first and counted — long-running daemons like `hpcmal serve`
+// trace every replay round for the life of the process, and unbounded
+// retention was a slow leak. Active (un-ended) spans are never dropped.
 type Tracer struct {
 	mu      sync.Mutex
 	roots   []*Span
 	stack   []*Span
 	lastID  uint64
 	size    int // spans currently retained (all subtrees)
-	limit   int // 0 = DefaultSpanLimit, <0 = unbounded
+	limit   int // 0 = DefaultSpanLimit; in-package tests set a smaller cap
 	dropped int64
 	mDrops  *Counter // optional registry mirror, set via AttachMetrics
 }
@@ -43,18 +42,6 @@ const SpansDroppedMetric = "obs.spans_dropped"
 
 // NewTracer returns an empty tracer.
 func NewTracer() *Tracer { return &Tracer{} }
-
-// SetLimit caps the number of retained spans; n < 0 removes the cap and
-// n == 0 restores DefaultSpanLimit.
-func (t *Tracer) SetLimit(n int) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.limit = n
-	t.evictLocked()
-	t.mu.Unlock()
-}
 
 // Dropped returns the number of spans evicted so far.
 func (t *Tracer) Dropped() int64 {
@@ -86,9 +73,6 @@ func (t *Tracer) evictLocked() {
 	limit := t.limit
 	if limit == 0 {
 		limit = DefaultSpanLimit
-	}
-	if limit < 0 {
-		return
 	}
 	i := 0
 	for t.size > limit && i < len(t.roots) {

@@ -50,12 +50,6 @@ type Flags struct {
 	// Nil keeps /readyz mirroring liveness — right for one-shot runs.
 	ReadyFn func() (bool, string)
 
-	// TelemetryOpts are extra telemetry.New options appended after the
-	// ones Setup derives from the flags, so commands can wire sources
-	// (stores, snapshot functions, an ingest service) uniformly at
-	// construction instead of via post-hoc setters.
-	TelemetryOpts []telemetry.Option
-
 	server      *telemetry.Server
 	cpuFile     *os.File
 	profiler    *profile.Profiler
@@ -132,7 +126,6 @@ func (f *Flags) Setup() error {
 			})
 			opts = append(opts, telemetry.WithProfiler(f.profiler))
 		}
-		opts = append(opts, f.TelemetryOpts...)
 		f.server = telemetry.New(opts...)
 		if err := f.server.Start(f.Listen); err != nil {
 			f.stopCPUProfile()
@@ -160,7 +153,7 @@ func (f *Flags) RuntimeCollector() *obs.RuntimeCollector { return f.runtimeCol }
 func (f *Flags) Server() *telemetry.Server { return f.server }
 
 // SetManifest exposes the run's in-flight manifest on the telemetry
-// server's /manifest endpoint.
+// server's /api/v1/manifest endpoint.
 func (f *Flags) SetManifest(m *obs.Manifest) {
 	if f.server != nil {
 		f.server.SetManifest(m)

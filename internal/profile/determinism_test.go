@@ -27,14 +27,19 @@ type thresholdClf struct{}
 
 var _ ml.Classifier = thresholdClf{}
 
-func (thresholdClf) Name() string                                  { return "threshold" }
-func (thresholdClf) Train(x [][]float64, y []int, nc int) error    { return nil }
+func (thresholdClf) Name() string                               { return "threshold" }
+func (thresholdClf) Train(x [][]float64, y []int, nc int) error { return nil }
 func (thresholdClf) Predict(f []float64) int {
 	if f[0] > 0.5 {
 		return 1
 	}
 	return 0
 }
+
+// windowsPerBatch makes each tenant's stream (8 batches) cross one
+// 4096-window quality epoch boundary, so rotation runs beside the
+// profiler too.
+const windowsPerBatch = 520
 
 // qualityStream drives a fixed batch stream through a fresh ingest
 // service — optionally with a hot continuous profiler cycling every
@@ -43,12 +48,11 @@ func qualityStream(t *testing.T, shards int, withProfiler bool) map[string]strin
 	t.Helper()
 	reg, bus := obs.NewRegistry(), obs.NewBus()
 	svc, err := ingest.New(ingest.Config{
-		Classifier:  thresholdClf{},
-		Events:      []string{"e0", "e1", "e2", "e3"},
-		Shards:      shards,
-		RotateEvery: 16,
-		Registry:    reg,
-		Bus:         bus,
+		Classifier: thresholdClf{},
+		Events:     []string{"e0", "e1", "e2", "e3"},
+		Shards:     shards,
+		Registry:   reg,
+		Bus:        bus,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +82,7 @@ func qualityStream(t *testing.T, shards int, withProfiler bool) map[string]strin
 	for round := 0; round < 8; round++ {
 		for ti, id := range tenants {
 			var b ingest.Batch
-			for k := 0; k < 11; k++ {
+			for k := 0; k < windowsPerBatch; k++ {
 				lbl := (round + ti + k) % 2
 				v := 0.1
 				if lbl == 1 {

@@ -2,6 +2,7 @@ package profile
 
 import (
 	"bytes"
+	"runtime"
 	"runtime/pprof"
 	"strings"
 	"testing"
@@ -26,6 +27,10 @@ func TestParseHeapProfile(t *testing.T) {
 	ballast = nil
 	allocateBallast()
 	defer func() { ballast = nil }()
+	// A heap profile reports in-use bytes as of the last completed GC;
+	// without one, a repeat run in the same process sees the previous
+	// run's ballast as freed and this run's as not yet counted.
+	runtime.GC()
 
 	var buf bytes.Buffer
 	if err := pprof.Lookup("heap").WriteTo(&buf, 0); err != nil {

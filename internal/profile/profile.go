@@ -96,27 +96,11 @@ type Config struct {
 	Duty time.Duration
 	// Budget caps the summed blob bytes held in the ring. Default 8 MiB.
 	Budget int64
-	// TopN is the summary depth kept per capture. Default 10.
-	TopN int
-	// RegressionPts is the flat-share growth (percentage points)
-	// between consecutive captures that publishes a regression.
-	// Default 10.
-	RegressionPts float64
 	// Registry receives the profiler's metrics. Default obs.DefaultRegistry.
 	Registry *obs.Registry
 	// Bus is watched for trigger events and receives regression events.
 	// Default obs.DefaultBus.
 	Bus *obs.Bus
-	// Triggers are the bus event types that cause an immediate pinned
-	// capture cycle. Default ["alarm", "alert"].
-	Triggers []string
-	// TriggerCooldown is the minimum spacing between trigger-initiated
-	// cycles, so an alarm storm cannot turn the sampler always-on.
-	// Default = Interval.
-	TriggerCooldown time.Duration
-	// Snapshots lists the instantaneous profile types captured each
-	// cycle alongside CPU. Default heap, goroutine, mutex, block.
-	Snapshots []string
 	// Runtime, when set, is refreshed at the start of every cycle so
 	// runtime/metrics gauges stay live even in commands without a tsdb
 	// scraper driving the collector.
@@ -136,29 +120,27 @@ func (c Config) withDefaults() Config {
 	if c.Budget <= 0 {
 		c.Budget = 8 << 20
 	}
-	if c.TopN <= 0 {
-		c.TopN = 10
-	}
-	if c.RegressionPts <= 0 {
-		c.RegressionPts = 10
-	}
 	if c.Registry == nil {
 		c.Registry = obs.DefaultRegistry
 	}
 	if c.Bus == nil {
 		c.Bus = obs.DefaultBus
 	}
-	if c.Triggers == nil {
-		c.Triggers = []string{"alarm", "alert"}
-	}
-	if c.TriggerCooldown <= 0 {
-		c.TriggerCooldown = c.Interval
-	}
-	if c.Snapshots == nil {
-		c.Snapshots = []string{TypeHeap, TypeGoroutine, TypeMutex, TypeBlock}
-	}
 	return c
 }
+
+// Capture and diff settings.
+const (
+	// topN is the summary depth kept per capture.
+	topN = 10
+	// regressionPts is the flat-share growth (percentage points) between
+	// consecutive captures that publishes a regression.
+	regressionPts = 10
+)
+
+// snapshotTypes are the instantaneous profile types captured each cycle
+// alongside CPU.
+var snapshotTypes = []string{TypeHeap, TypeGoroutine, TypeMutex, TypeBlock}
 
 // Profiler owns the capture ring and the background sampler. All
 // methods are safe for concurrent use and safe on a nil receiver, so
@@ -285,11 +267,10 @@ func (p *Profiler) watchBus(quit <-chan struct{}, sub *obs.Subscription) {
 			if !ok {
 				return
 			}
-			for _, t := range p.cfg.Triggers {
-				if e.Type == t {
-					p.TriggerCapture(e.Type)
-					break
-				}
+			// Online-detector alarms and firing alerts force an
+			// immediate pinned capture cycle.
+			if e.Type == "alarm" || e.Type == "alert" {
+				p.TriggerCapture(e.Type)
 			}
 		}
 	}
@@ -297,7 +278,8 @@ func (p *Profiler) watchBus(quit <-chan struct{}, sub *obs.Subscription) {
 
 // TriggerCapture requests an immediate pinned capture cycle attributed
 // to reason (e.g. "alert"). It never blocks: requests inside the
-// reason's cooldown window, or while the same reason is already queued,
+// reason's cooldown window (one Interval, so an alarm storm cannot turn
+// the sampler always-on), or while the same reason is already queued,
 // return false. Cooldowns are tracked per reason so a rare rising-edge
 // "alert" is never starved by a storm of per-window "alarm" events. A
 // request landing while an interval CPU capture is in flight promotes
@@ -312,7 +294,7 @@ func (p *Profiler) TriggerCapture(reason string) bool {
 	}
 	p.mu.Lock()
 	now := time.Now()
-	if last, ok := p.lastTrig[reason]; ok && now.Sub(last) < p.cfg.TriggerCooldown {
+	if last, ok := p.lastTrig[reason]; ok && now.Sub(last) < p.cfg.Interval {
 		p.mu.Unlock()
 		return false
 	}
@@ -345,13 +327,13 @@ func (p *Profiler) CycleNow(trigger string) {
 }
 
 // cycle refreshes runtime gauges, takes one CPU duty-window profile and
-// the configured snapshots, then runs the diff engine.
+// the snapshotTypes, then runs the diff engine.
 func (p *Profiler) cycle(quit <-chan struct{}, trigger string, pinned bool) {
 	if p.cfg.Runtime != nil {
 		p.cfg.Runtime.Update()
 	}
 	p.captureCPU(quit, trigger, pinned)
-	for _, typ := range p.cfg.Snapshots {
+	for _, typ := range snapshotTypes {
 		p.captureSnapshot(typ, trigger, pinned)
 	}
 }
@@ -420,7 +402,7 @@ func (p *Profiler) captureSnapshot(typ, trigger string, pinned bool) {
 
 // store parses, rings, metrics, and diffs one finished capture.
 func (p *Profiler) store(typ, trigger string, pinned bool, blob []byte) {
-	summary, err := ParseSummary(blob, p.cfg.TopN)
+	summary, err := ParseSummary(blob, topN)
 	if err != nil {
 		summary = nil
 		p.countError()
@@ -446,7 +428,7 @@ func (p *Profiler) store(typ, trigger string, pinned bool, blob []byte) {
 	p.counts[typ+"|"+trigger]++
 	var regs []Regression
 	if summary != nil && (typ == TypeCPU || typ == TypeHeap) {
-		regs = diffSummaries(typ, p.prev[typ], summary, p.cfg.RegressionPts)
+		regs = diffSummaries(typ, p.prev[typ], summary, regressionPts)
 		for i := range regs {
 			regs[i].CaptureID = c.info.ID
 		}

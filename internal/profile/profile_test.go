@@ -11,11 +11,10 @@ import (
 func testProfiler(t *testing.T, mutate func(*Config)) *Profiler {
 	t.Helper()
 	cfg := Config{
-		Interval:        50 * time.Millisecond,
-		Duty:            5 * time.Millisecond,
-		TriggerCooldown: time.Nanosecond,
-		Registry:        obs.NewRegistry(),
-		Bus:             obs.NewBus(),
+		Interval: 50 * time.Millisecond,
+		Duty:     5 * time.Millisecond,
+		Registry: obs.NewRegistry(),
+		Bus:      obs.NewBus(),
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -86,7 +85,7 @@ func TestBusEventTriggersPinnedCapture(t *testing.T) {
 	bus.Publish(obs.Event{Type: "alert", Msg: "rule fired"})
 	// The triggered cycle stores one capture per configured type; wait for
 	// all of them, or the last ones land after `before` is read below.
-	waitFor(t, func() bool { return len(p.List("", "alert", 0)) == 1+len(p.cfg.Snapshots) })
+	waitFor(t, func() bool { return len(p.List("", "alert", 0)) == 1+len(snapshotTypes) })
 
 	info, ok := p.Latest(TypeCPU)
 	if !ok {
@@ -130,11 +129,12 @@ func TestTriggeredWindowKeepsItsReason(t *testing.T) {
 	}
 }
 
-// TestTriggerCooldown: a second trigger inside the cooldown window is
-// refused, so an alarm storm cannot turn the sampler always-on.
+// TestTriggerCooldown: a second trigger inside the cooldown window (one
+// Interval) is refused, so an alarm storm cannot turn the sampler
+// always-on.
 func TestTriggerCooldown(t *testing.T) {
 	p := testProfiler(t, func(c *Config) {
-		c.TriggerCooldown = time.Hour
+		c.Interval = time.Hour
 	})
 	if !p.TriggerCapture("alert") {
 		t.Fatal("first trigger refused")

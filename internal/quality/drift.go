@@ -147,14 +147,13 @@ func BaselineFromJSON(raw []byte) (*Baseline, error) {
 // JSON encodes the baseline for embedding into a manifest.
 func (b *Baseline) JSON() (json.RawMessage, error) { return json.Marshal(b) }
 
+// psiAlert is the PSI above which a feature counts as drifting and a
+// drift event is published: the conventional "major shift" threshold
+// (0.1–0.25 is the usual "investigate" band).
+const psiAlert = 0.25
+
 // DriftConfig configures a DriftDetector.
 type DriftConfig struct {
-	// Epochs is the sliding-window length in Advance rotations (default 8).
-	Epochs int
-	// PSIAlert is the PSI above which a feature counts as drifting and a
-	// drift event is published (default 0.25 — the conventional "major
-	// shift" threshold; 0.1–0.25 is the usual "investigate" band).
-	PSIAlert float64
 	// Registry receives the exported gauges (default obs.DefaultRegistry).
 	Registry *obs.Registry
 	// Bus receives drift/drift_resolved events (default obs.DefaultBus).
@@ -190,12 +189,6 @@ func NewDriftDetector(base *Baseline, cfg DriftConfig) (*DriftDetector, error) {
 	if base == nil || len(base.Features) == 0 {
 		return nil, fmt.Errorf("quality: nil or empty baseline")
 	}
-	if cfg.Epochs <= 0 {
-		cfg.Epochs = 8
-	}
-	if cfg.PSIAlert <= 0 {
-		cfg.PSIAlert = 0.25
-	}
 	if cfg.Registry == nil {
 		cfg.Registry = obs.DefaultRegistry
 	}
@@ -206,9 +199,9 @@ func NewDriftDetector(base *Baseline, cfg DriftConfig) (*DriftDetector, error) {
 		base:     base,
 		cfg:      cfg,
 		drifting: make([]bool, len(base.Features)),
-		ns:       make([]int64, cfg.Epochs),
+		ns:       make([]int64, epochs),
 	}
-	for e := 0; e < cfg.Epochs; e++ {
+	for e := 0; e < epochs; e++ {
 		perFeature := make([][]int64, len(base.Features))
 		for f := range perFeature {
 			perFeature[f] = make([]int64, base.Bins)
@@ -250,7 +243,7 @@ func (d *DriftDetector) Observe(vals []float64) {
 // events for features whose state changed.
 func (d *DriftDetector) Advance() {
 	d.mu.Lock()
-	d.cur = (d.cur + 1) % d.cfg.Epochs
+	d.cur = (d.cur + 1) % epochs
 	for f := range d.counts[d.cur] {
 		for b := range d.counts[d.cur][f] {
 			d.counts[d.cur][f][b] = 0
@@ -267,13 +260,13 @@ func (d *DriftDetector) Advance() {
 		if fd.Drifting && !was {
 			transitions = append(transitions, obs.Event{
 				Type:  EventDrift,
-				Msg:   fmt.Sprintf("%s: psi %.3f over threshold %.3g (ks %.3f)", fd.Name, fd.PSI, d.cfg.PSIAlert, fd.KS),
+				Msg:   fmt.Sprintf("%s: psi %.3f over threshold %.3g (ks %.3f)", fd.Name, fd.PSI, psiAlert, fd.KS),
 				Value: fd.PSI,
 			})
 		} else if !fd.Drifting && was {
 			transitions = append(transitions, obs.Event{
 				Type:  EventDriftResolved,
-				Msg:   fmt.Sprintf("%s: psi %.3f back under threshold %.3g", fd.Name, fd.PSI, d.cfg.PSIAlert),
+				Msg:   fmt.Sprintf("%s: psi %.3f back under threshold %.3g", fd.Name, fd.PSI, psiAlert),
 				Value: fd.PSI,
 			})
 		}
@@ -334,7 +327,7 @@ func (d *DriftDetector) snapshotLocked() DriftSnapshot {
 	snap := DriftSnapshot{
 		Observed: d.observed,
 		Bins:     d.base.Bins,
-		PSIAlert: d.cfg.PSIAlert,
+		PSIAlert: psiAlert,
 	}
 	for _, n := range d.ns {
 		snap.WindowObserved += n
@@ -360,7 +353,7 @@ func (d *DriftDetector) snapshotLocked() DriftSnapshot {
 				fd.LiveStd = math.Sqrt(variance)
 			}
 			fd.PSI, fd.KS = psiKS(fb.Counts, fb.Count, live, snap.WindowObserved)
-			fd.Drifting = fd.PSI >= d.cfg.PSIAlert
+			fd.Drifting = fd.PSI >= psiAlert
 		}
 		snap.Features = append(snap.Features, fd)
 		if fd.Drifting {

@@ -125,7 +125,7 @@ func TestDriftDetectorDetectsShift(t *testing.T) {
 	bus := obs.NewBus()
 	sub := bus.Subscribe(8)
 	defer sub.Close()
-	d, err := NewDriftDetector(b, DriftConfig{Epochs: 2, Registry: r, Bus: bus})
+	d, err := NewDriftDetector(b, DriftConfig{Registry: r, Bus: bus})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestDriftDetectorDetectsShift(t *testing.T) {
 	}
 
 	// Recovery: rotate the shifted epochs out with in-distribution traffic.
-	for round := 0; round < 2; round++ {
+	for round := 0; round < epochs; round++ {
 		for i := 0; i < 100; i++ {
 			d.Observe([]float64{float64(i)})
 		}

@@ -19,7 +19,7 @@
 //
 // Both accumulate into an epoch ring: Observe adds commutative counts to
 // the current epoch and Advance rotates the ring, so the sliding window
-// is the aggregate of the last Epochs rotations. Because every update is
+// is the aggregate of the last epochs rotations. Because every update is
 // a commutative sum, concurrent observers (the parallel monitoring pool)
 // produce bit-identical snapshots at any worker count and completion
 // order — the same determinism contract the rest of the pipeline keeps.
@@ -54,46 +54,45 @@ const (
 	ObservationsMetric = "quality.observations"
 )
 
+// Sliding-window and histogram shape shared by both instruments.
+const (
+	// epochs is the sliding-window length in Advance rotations: the
+	// scoreboard and the drift detector report over the last epochs
+	// epochs, including the one currently filling.
+	epochs = 8
+	// scoreBins is the number of equal-width bins over [0,1] for the
+	// score histograms and calibration summary.
+	scoreBins = 10
+)
+
 // Config configures a Scoreboard.
 type Config struct {
-	// Epochs is the sliding-window length in Advance rotations
-	// (default 8): the scoreboard reports over the last Epochs epochs,
-	// including the one currently filling.
-	Epochs int
-	// ScoreBins is the number of equal-width bins over [0,1] for the
-	// score histograms and calibration summary (default 10).
-	ScoreBins int
 	// NumClasses is the label arity (default 2, the binary detector).
 	NumClasses int
-	// ClassNames maps labels to display names (default "class <i>",
-	// with ["benign","malware"] for the binary case).
-	ClassNames []string
 	// Registry receives the exported gauges (default obs.DefaultRegistry).
 	Registry *obs.Registry
 }
 
 func (c *Config) fillDefaults() {
-	if c.Epochs <= 0 {
-		c.Epochs = 8
-	}
-	if c.ScoreBins <= 0 {
-		c.ScoreBins = 10
-	}
 	if c.NumClasses < 2 {
 		c.NumClasses = 2
-	}
-	if len(c.ClassNames) == 0 {
-		if c.NumClasses == 2 {
-			c.ClassNames = []string{"benign", "malware"}
-		} else {
-			for i := 0; i < c.NumClasses; i++ {
-				c.ClassNames = append(c.ClassNames, fmt.Sprintf("class %d", i))
-			}
-		}
 	}
 	if c.Registry == nil {
 		c.Registry = obs.DefaultRegistry
 	}
+}
+
+// classNames maps labels to display names: ["benign","malware"] for the
+// binary detector, "class <i>" otherwise.
+func classNames(k int) []string {
+	if k == 2 {
+		return []string{"benign", "malware"}
+	}
+	names := make([]string, k)
+	for i := range names {
+		names[i] = fmt.Sprintf("class %d", i)
+	}
+	return names
 }
 
 // epoch is one rotation's worth of commutative counts.
@@ -148,6 +147,7 @@ func (e *epoch) reset() {
 type Scoreboard struct {
 	mu        sync.Mutex
 	cfg       Config
+	names     []string
 	epochs    []*epoch
 	cur       int
 	rotations int64
@@ -160,9 +160,9 @@ type Scoreboard struct {
 // NewScoreboard builds a scoreboard and registers its gauges.
 func NewScoreboard(cfg Config) *Scoreboard {
 	cfg.fillDefaults()
-	s := &Scoreboard{cfg: cfg}
-	for i := 0; i < cfg.Epochs; i++ {
-		s.epochs = append(s.epochs, newEpoch(cfg.NumClasses, cfg.ScoreBins))
+	s := &Scoreboard{cfg: cfg, names: classNames(cfg.NumClasses)}
+	for i := 0; i < epochs; i++ {
+		s.epochs = append(s.epochs, newEpoch(cfg.NumClasses, scoreBins))
 	}
 	r := cfg.Registry
 	s.mObserved = r.Counter(ObservationsMetric)
@@ -178,12 +178,12 @@ func NewScoreboard(cfg Config) *Scoreboard {
 
 // scoreBin maps a score in [0,1] onto a histogram bin, clamping strays.
 func (s *Scoreboard) scoreBin(score float64) int {
-	bin := int(score * float64(s.cfg.ScoreBins))
+	bin := int(score * float64(scoreBins))
 	if bin < 0 {
 		bin = 0
 	}
-	if bin >= s.cfg.ScoreBins {
-		bin = s.cfg.ScoreBins - 1
+	if bin >= scoreBins {
+		bin = scoreBins - 1
 	}
 	return bin
 }
@@ -310,7 +310,7 @@ func (s *Scoreboard) Snapshot() QualitySnapshot {
 }
 
 func (s *Scoreboard) snapshotLocked() QualitySnapshot {
-	k, bins := s.cfg.NumClasses, s.cfg.ScoreBins
+	k, bins := s.cfg.NumClasses, scoreBins
 	conf := eval.NewConfusion(k)
 	hist := make([][]int64, k)
 	for i := range hist {
@@ -340,7 +340,7 @@ func (s *Scoreboard) snapshotLocked() QualitySnapshot {
 		WindowObserved: windowN,
 		Epochs:         len(s.epochs),
 		Rotations:      s.rotations,
-		Classes:        append([]string{}, s.cfg.ClassNames...),
+		Classes:        append([]string{}, s.names...),
 		Accuracy:       conf.Accuracy(),
 		MacroF1:        conf.MacroF1(),
 		ScoreBins:      bins,
@@ -355,7 +355,7 @@ func (s *Scoreboard) snapshotLocked() QualitySnapshot {
 			support += v
 		}
 		q.PerClass = append(q.PerClass, ClassMetrics{
-			Class:     s.cfg.ClassNames[c],
+			Class:     s.names[c],
 			Precision: conf.Precision(c),
 			Recall:    conf.Recall(c),
 			F1:        conf.F1(c),
@@ -363,7 +363,7 @@ func (s *Scoreboard) snapshotLocked() QualitySnapshot {
 			Support:   support,
 		})
 		q.ScoreHistograms = append(q.ScoreHistograms, ScoreHistogram{
-			Class:  s.cfg.ClassNames[c],
+			Class:  s.names[c],
 			Counts: append([]int64{}, hist[c]...),
 		})
 	}

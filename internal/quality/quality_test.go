@@ -78,18 +78,20 @@ func TestScoreboardMetrics(t *testing.T) {
 
 func TestScoreboardSlidingWindow(t *testing.T) {
 	r := obs.NewRegistry()
-	s := NewScoreboard(Config{Epochs: 2, Registry: r})
+	s := NewScoreboard(Config{Registry: r})
 	feed(s)
-	s.Advance() // epoch 2 of 2: window still holds everything
+	for i := 1; i < epochs; i++ {
+		s.Advance() // epoch i+1 of epochs: window still holds everything
+	}
 	if q := s.Snapshot(); q.WindowObserved != 20 {
-		t.Fatalf("window after 1 rotation = %d, want 20", q.WindowObserved)
+		t.Fatalf("window after %d rotations = %d, want 20", epochs-1, q.WindowObserved)
 	}
 	s.Advance() // original epoch evicted
 	q := s.Snapshot()
 	if q.WindowObserved != 0 || q.Observed != 20 {
 		t.Fatalf("window %d / observed %d after eviction, want 0/20", q.WindowObserved, q.Observed)
 	}
-	if q.Accuracy != 0 || q.Rotations != 2 {
+	if q.Accuracy != 0 || q.Rotations != epochs {
 		t.Fatalf("empty-window accuracy %v rotations %d", q.Accuracy, q.Rotations)
 	}
 	// Advance exports gauges to the registry.

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/httpapi"
 	"repro/internal/obs"
+	"repro/internal/tsdb"
 )
 
 // TestAPIConformance is the table-driven wire-contract test for the
@@ -39,7 +40,6 @@ func TestAPIConformance(t *testing.T) {
 		{"quality wrong method", "POST", "/api/v1/quality", 405, httpapi.CodeMethodNotAllowed},
 		{"series wrong method", "DELETE", "/api/v1/series", 405, httpapi.CodeMethodNotAllowed},
 		{"buildinfo wrong method", "PUT", "/api/v1/buildinfo", 405, httpapi.CodeMethodNotAllowed},
-		{"legacy alias wrong method", "POST", "/quality", 405, httpapi.CodeMethodNotAllowed},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -69,49 +69,29 @@ func TestAPIConformance(t *testing.T) {
 	}
 }
 
-// TestLegacyAliases asserts every pre-v1 path still answers with a body
-// byte-identical to its /api/v1 successor, plus the Deprecation header
-// and an RFC 8288 successor-version Link.
+// TestLegacyAliases pins the retirement of the pre-v1 paths: with every
+// source attached, each /api/v1 successor answers 200 and the old path
+// answers 404.
 func TestLegacyAliases(t *testing.T) {
-	s, _, _ := testServer(t)
-	// Attach sources so the aliased endpoints have real bodies.
+	s, reg, _ := testServer(t)
 	s.SetQuality(func() any { return map[string]any{"f1": 0.91} })
 	s.SetDrift(func() any { return map[string]any{"psi": 0.02} })
 	s.SetAlerts(func() any { return map[string]any{"firing": 0} })
+	s.SetStore(tsdb.New(tsdb.Config{Registry: reg, Bus: obs.NewBus()}))
 	s.SetManifest(&obs.Manifest{})
 
-	pairs := []struct{ legacy, successor string }{
-		{"/quality", "/api/v1/quality"},
-		{"/drift", "/api/v1/drift"},
-		{"/alerts", "/api/v1/alerts"},
-		{"/alerts/history", "/api/v1/alerts/history"}, // both 404 (no store): still identical
-		{"/manifest", "/api/v1/manifest"},
-		{"/buildinfo", "/api/v1/buildinfo"},
-	}
-	for _, p := range pairs {
-		t.Run(p.legacy, func(t *testing.T) {
-			fetch := func(path string) (*httptest.ResponseRecorder, string) {
+	for _, legacy := range []string{"/quality", "/drift", "/alerts", "/alerts/history", "/manifest", "/buildinfo"} {
+		t.Run(legacy, func(t *testing.T) {
+			fetch := func(path string) int {
 				rec := httptest.NewRecorder()
 				s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
-				return rec, rec.Body.String()
+				return rec.Code
 			}
-			legacyRec, legacyBody := fetch(p.legacy)
-			_, successorBody := fetch(p.successor)
-			if legacyBody != successorBody {
-				t.Fatalf("alias body differs from successor:\n--- %s\n%s\n--- %s\n%s",
-					p.legacy, legacyBody, p.successor, successorBody)
+			if code := fetch("/api/v1" + legacy); code != http.StatusOK {
+				t.Fatalf("successor /api/v1%s = %d, want 200", legacy, code)
 			}
-			if dep := legacyRec.Header().Get(httpapi.DeprecationHeader); dep != "true" {
-				t.Fatalf("Deprecation = %q", dep)
-			}
-			link := legacyRec.Header().Get("Link")
-			if !strings.Contains(link, p.successor) || !strings.Contains(link, "successor-version") {
-				t.Fatalf("Link = %q", link)
-			}
-			// Canonical paths are never stamped deprecated.
-			succRec, _ := fetch(p.successor)
-			if succRec.Header().Get(httpapi.DeprecationHeader) != "" {
-				t.Fatalf("successor %s carries Deprecation header", p.successor)
+			if code := fetch(legacy); code != http.StatusNotFound {
+				t.Fatalf("retired %s = %d, want 404", legacy, code)
 			}
 		})
 	}

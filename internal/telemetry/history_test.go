@@ -35,7 +35,7 @@ func testStore(t *testing.T) (*tsdb.Store, int64) {
 // three store-backed routes are 404 until SetStore, live after.
 func TestHistoricalEndpoints404WithoutStore(t *testing.T) {
 	s, _, _ := testServer(t)
-	for _, p := range []string{"/api/v1/series", "/api/v1/query_range?metric=x", "/alerts/history"} {
+	for _, p := range []string{"/api/v1/series", "/api/v1/query_range?metric=x", "/api/v1/alerts/history"} {
 		if code, body, _ := get(t, s.Handler(), p); code != 404 || !strings.Contains(body, "no time-series store") {
 			t.Errorf("%s without store = %d %q, want 404", p, code, body)
 		}
@@ -130,7 +130,7 @@ func TestAlertsHistoryEndpoint(t *testing.T) {
 	st.RecordEvent(obs.Event{Type: "drift", Msg: "psi over budget", TimeUnixMS: 2})
 	s.SetStore(st)
 
-	code, body, _ := get(t, s.Handler(), "/alerts/history")
+	code, body, _ := get(t, s.Handler(), "/api/v1/alerts/history")
 	if code != 200 {
 		t.Fatalf("alerts/history = %d", code)
 	}
@@ -154,12 +154,13 @@ func TestReadyzGate(t *testing.T) {
 	}
 
 	ready := false
-	s.SetReady(func() (bool, string) {
-		if !ready {
-			return false, "model not trained"
-		}
-		return true, ""
-	})
+	s = New(WithRegistry(obs.NewRegistry()), WithBus(obs.NewBus()), WithTracer(obs.NewTracer()),
+		WithReady(func() (bool, string) {
+			if !ready {
+				return false, "model not trained"
+			}
+			return true, ""
+		}))
 	code, body, _ := get(t, s.Handler(), "/readyz")
 	if code != http.StatusServiceUnavailable || !strings.Contains(body, "model not trained") {
 		t.Errorf("not-ready readyz = %d %q", code, body)
@@ -180,8 +181,8 @@ func TestReadyzGate(t *testing.T) {
 func TestSSEKeepAlive(t *testing.T) {
 	reg := obs.NewRegistry()
 	bus := obs.NewBus()
-	s := New(WithRegistry(reg), WithBus(bus), WithTracer(obs.NewTracer()),
-		WithEventBuffer(8), WithSSEKeepAlive(30*time.Millisecond))
+	s := New(WithRegistry(reg), WithBus(bus), WithTracer(obs.NewTracer()))
+	s.keepAlive = 30 * time.Millisecond
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 

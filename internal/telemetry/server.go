@@ -37,17 +37,12 @@
 //	                       on-demand CPU captures are capped at one at a
 //	                       time — contention answers 409)
 //
-// The legacy pre-v1 paths (/quality /drift /alerts /alerts/history
-// /manifest /buildinfo) remain as aliases of their /api/v1 successors:
-// identical bodies, plus a `Deprecation: true` header and an RFC 8288
-// successor-version Link.
-//
 // Every JSON endpoint renders errors as the stable envelope
 // {"error": {"code": ..., "message": ...}} from internal/httpapi.
 //
 // The model-quality endpoints 404 until a source is attached via
-// WithQuality/SetQuality (and siblings) — a plain telemetry server
-// (every CLI command's -listen) has no labeled replay to score.
+// SetQuality (and siblings) — a plain telemetry server (every CLI
+// command's -listen) has no labeled replay to score.
 // Likewise the historical endpoints 404 until a store is attached, and
 // the ingest endpoints answer 503 until an ingest service is mounted.
 //
@@ -75,25 +70,29 @@ import (
 	"repro/internal/tsdb"
 )
 
-// config wires a Server to its observability sources; it is built from
-// Options. Zero fields fall back to the process-wide defaults.
+// config wires a Server to the sources that must hold from its first
+// request; it is built from Options. Zero fields fall back to the
+// process-wide defaults.
 type config struct {
-	registry       *obs.Registry
-	tracer         *obs.Tracer
-	bus            *obs.Bus
-	eventBuffer    int
-	quality        func() any
-	drift          func() any
-	alerts         func() any
-	flightRecorder func() any
-	store          *tsdb.Store
-	ready          func() (bool, string)
-	ingest         http.Handler
-	sseKeepAlive   time.Duration
-	reqTracer      *obs.ReqTracer
-	models         func() []ModelInfo
-	profiler       *profile.Profiler
+	registry *obs.Registry
+	tracer   *obs.Tracer
+	bus      *obs.Bus
+	ready    func() (bool, string)
+	profiler *profile.Profiler
 }
+
+// Stream settings for /events.
+const (
+	// eventBuffer is each stream's subscription buffer; overflow drops
+	// the oldest undelivered events.
+	eventBuffer = 256
+	// sseKeepAlive is the idle-stream heartbeat period for SSE clients:
+	// comment frames that keep proxies and load-balancer idle timeouts
+	// from severing a quiet stream. NDJSON streams are never touched —
+	// heartbeats are an SSE comment-frame concept and would corrupt
+	// line-delimited JSON framing.
+	sseKeepAlive = 15 * time.Second
+)
 
 // ModelInfo is one deployed inference program as served by
 // /api/v1/models: the name it answers to plus its introspection spec
@@ -104,11 +103,10 @@ type ModelInfo struct {
 	Spec any    `json:"spec"`
 }
 
-// Option configures New. All sources wire uniformly through options —
-// construction-time for anything that must hold from the first request
-// (readiness gates especially), with Set* mirrors for sources that only
-// exist after the server is already listening (serve trains its model
-// with the server up).
+// Option configures New with what must hold from the first request
+// (readiness gates especially). Sources that only exist after the
+// server is already listening (serve trains its model with the server
+// up) attach through the Set* methods.
 type Option func(*config)
 
 // WithRegistry sets the metrics registry behind /metrics
@@ -121,55 +119,11 @@ func WithTracer(t *obs.Tracer) Option { return func(c *config) { c.tracer = t } 
 // WithBus sets the event bus behind /events (default obs.DefaultBus).
 func WithBus(b *obs.Bus) Option { return func(c *config) { c.bus = b } }
 
-// WithEventBuffer sets the per-stream subscription buffer (default 256);
-// overflow drops the oldest undelivered events.
-func WithEventBuffer(n int) Option { return func(c *config) { c.eventBuffer = n } }
-
-// WithSSEKeepAlive sets the idle-stream heartbeat period for SSE
-// /events clients (default 15 s): comment frames that keep proxies and
-// load-balancer idle timeouts from severing a quiet stream. NDJSON
-// streams are never touched — heartbeats are an SSE comment-frame
-// concept and would corrupt line-delimited JSON framing.
-func WithSSEKeepAlive(d time.Duration) Option { return func(c *config) { c.sseKeepAlive = d } }
-
-// WithQuality attaches the /api/v1/quality snapshot source: a function
-// whose result is rendered as JSON (e.g. a quality.Scoreboard's
-// Snapshot). Nil leaves the endpoint 404.
-func WithQuality(fn func() any) Option { return func(c *config) { c.quality = fn } }
-
-// WithDrift attaches the /api/v1/drift snapshot source.
-func WithDrift(fn func() any) Option { return func(c *config) { c.drift = fn } }
-
-// WithAlerts attaches the /api/v1/alerts snapshot source.
-func WithAlerts(fn func() any) Option { return func(c *config) { c.alerts = fn } }
-
-// WithFlightRecorder attaches the /debug/flightrecorder source.
-func WithFlightRecorder(fn func() any) Option { return func(c *config) { c.flightRecorder = fn } }
-
-// WithStore attaches the embedded time-series store behind
-// /api/v1/series, /api/v1/query_range and /api/v1/alerts/history.
-func WithStore(st *tsdb.Store) Option { return func(c *config) { c.store = st } }
-
 // WithReady gates /readyz: the endpoint answers 503 with the returned
 // reason until the gate reports true. Without it /readyz mirrors
 // liveness — the right semantics for one-shot CLI runs that have
-// nothing to warm up. Use this option (not SetReady) when readiness
-// must be correct from the very first request.
+// nothing to warm up.
 func WithReady(fn func() (bool, string)) Option { return func(c *config) { c.ready = fn } }
-
-// WithIngest mounts a fleet ingest service (its http.Handler) at
-// /api/v1/ingest and /api/v1/tenants. Until one is mounted those paths
-// answer 503 unavailable.
-func WithIngest(h http.Handler) Option { return func(c *config) { c.ingest = h } }
-
-// WithReqTracer attaches the request-trace store behind /api/v1/traces.
-// Nil leaves the endpoints 404.
-func WithReqTracer(rt *obs.ReqTracer) Option { return func(c *config) { c.reqTracer = rt } }
-
-// WithModels attaches the /api/v1/models source: a function returning
-// the currently deployed inference programs (name + spec). Nil leaves
-// the endpoints 404 — a plain -listen run deploys no compiled programs.
-func WithModels(fn func() []ModelInfo) Option { return func(c *config) { c.models = fn } }
 
 // WithProfiler attaches the continuous profiler behind /api/v1/profiles
 // and its labeled capture counters on /metrics. Nil leaves the
@@ -184,18 +138,19 @@ type Server struct {
 	ln       net.Listener
 	started  time.Time
 	manifest atomic.Pointer[obs.Manifest]
+	// keepAlive is the SSE heartbeat period: sseKeepAlive, shortened
+	// only by in-package tests.
+	keepAlive time.Duration
 	// Late-bound sources (see Set*): atomic so serve can attach them
 	// after Start without racing in-flight scrapes.
-	quality atomic.Pointer[snapshotFn]
-	drift   atomic.Pointer[snapshotFn]
-	alerts  atomic.Pointer[snapshotFn]
-	flight  atomic.Pointer[snapshotFn]
+	quality   atomic.Pointer[snapshotFn]
+	drift     atomic.Pointer[snapshotFn]
+	alerts    atomic.Pointer[snapshotFn]
+	flight    atomic.Pointer[snapshotFn]
 	store     atomic.Pointer[tsdb.Store]
-	ready     atomic.Pointer[readyFn]
 	ingest    atomic.Pointer[http.Handler]
 	reqTracer atomic.Pointer[obs.ReqTracer]
 	models    atomic.Pointer[modelsFn]
-	profiler  atomic.Pointer[profile.Profiler]
 	// closing is closed on Shutdown so long-lived /events streams end
 	// promptly and let the graceful drain finish.
 	closing      chan struct{}
@@ -219,34 +174,19 @@ func New(opts ...Option) *Server {
 	if cfg.bus == nil {
 		cfg.bus = obs.DefaultBus
 	}
-	if cfg.eventBuffer <= 0 {
-		cfg.eventBuffer = 256
-	}
-	if cfg.sseKeepAlive <= 0 {
-		cfg.sseKeepAlive = 15 * time.Second
-	}
 	// Mirror the bus's delivery/drop/subscriber accounting into the
 	// registry so /metrics exposes it without hand-written lines; same
 	// for the span tracer's retention-cap eviction count.
 	cfg.bus.AttachMetrics(cfg.registry)
 	cfg.tracer.AttachMetrics(cfg.registry)
 	s := &Server{
-		cfg:      cfg,
-		mux:      http.NewServeMux(),
-		started:  time.Now(),
-		closing:  make(chan struct{}),
-		serveErr: make(chan error, 1),
+		cfg:       cfg,
+		mux:       http.NewServeMux(),
+		started:   time.Now(),
+		keepAlive: sseKeepAlive,
+		closing:   make(chan struct{}),
+		serveErr:  make(chan error, 1),
 	}
-	s.SetQuality(cfg.quality)
-	s.SetDrift(cfg.drift)
-	s.SetAlerts(cfg.alerts)
-	s.SetFlightRecorder(cfg.flightRecorder)
-	s.SetStore(cfg.store)
-	s.SetReady(cfg.ready)
-	s.SetIngest(cfg.ingest)
-	s.SetReqTracer(cfg.reqTracer)
-	s.SetModels(cfg.models)
-	s.SetProfiler(cfg.profiler)
 
 	s.mux.HandleFunc("/", s.handleIndex)
 	s.mux.HandleFunc("/healthz", s.handleHealthz)
@@ -255,25 +195,15 @@ func New(opts ...Option) *Server {
 	s.mux.HandleFunc("/metrics", s.handleMetrics)
 	s.mux.HandleFunc("/events", s.handleEvents)
 
-	// The versioned JSON API, with the pre-v1 paths aliased to their
-	// successors: identical handler, Deprecation + Link headers on top.
-	canonical := map[string]http.HandlerFunc{
-		"/api/v1/buildinfo":      httpapi.Methods(s.handleBuildInfo, http.MethodGet),
-		"/api/v1/manifest":       httpapi.Methods(s.handleManifest, http.MethodGet),
-		"/api/v1/quality":        httpapi.Methods(s.snapshotHandler(&s.quality, "no detection scoreboard attached"), http.MethodGet),
-		"/api/v1/drift":          httpapi.Methods(s.snapshotHandler(&s.drift, "no drift detector attached"), http.MethodGet),
-		"/api/v1/alerts":         httpapi.Methods(s.snapshotHandler(&s.alerts, "no alert engine attached"), http.MethodGet),
-		"/api/v1/alerts/history": httpapi.Methods(s.handleAlertsHistory, http.MethodGet),
-		"/api/v1/series":         httpapi.Methods(s.handleSeries, http.MethodGet),
-		"/api/v1/query_range":    httpapi.Methods(s.handleQueryRange, http.MethodGet),
-	}
-	for path, h := range canonical {
-		s.mux.HandleFunc(path, h)
-	}
-	for _, legacy := range []string{"/buildinfo", "/manifest", "/quality", "/drift", "/alerts", "/alerts/history"} {
-		successor := "/api/v1" + legacy
-		s.mux.HandleFunc(legacy, httpapi.Alias(successor, canonical[successor]))
-	}
+	// The versioned JSON API.
+	s.mux.HandleFunc("/api/v1/buildinfo", httpapi.Methods(s.handleBuildInfo, http.MethodGet))
+	s.mux.HandleFunc("/api/v1/manifest", httpapi.Methods(s.handleManifest, http.MethodGet))
+	s.mux.HandleFunc("/api/v1/quality", httpapi.Methods(s.snapshotHandler(&s.quality, "no detection scoreboard attached"), http.MethodGet))
+	s.mux.HandleFunc("/api/v1/drift", httpapi.Methods(s.snapshotHandler(&s.drift, "no drift detector attached"), http.MethodGet))
+	s.mux.HandleFunc("/api/v1/alerts", httpapi.Methods(s.snapshotHandler(&s.alerts, "no alert engine attached"), http.MethodGet))
+	s.mux.HandleFunc("/api/v1/alerts/history", httpapi.Methods(s.handleAlertsHistory, http.MethodGet))
+	s.mux.HandleFunc("/api/v1/series", httpapi.Methods(s.handleSeries, http.MethodGet))
+	s.mux.HandleFunc("/api/v1/query_range", httpapi.Methods(s.handleQueryRange, http.MethodGet))
 
 	// The fleet ingest surface mounts as an opaque handler (the ingest
 	// package owns routing under these prefixes).
@@ -340,8 +270,8 @@ func storeFn(p *atomic.Pointer[snapshotFn], fn func() any) {
 }
 
 // SetQuality attaches (or, with nil, detaches) the /api/v1/quality
-// source after construction; prefer WithQuality when the source exists
-// up front.
+// source: a function whose result is rendered as JSON (e.g. a
+// quality.Scoreboard's Snapshot).
 func (s *Server) SetQuality(fn func() any) { storeFn(&s.quality, fn) }
 
 // SetDrift attaches the /api/v1/drift source.
@@ -353,25 +283,10 @@ func (s *Server) SetAlerts(fn func() any) { storeFn(&s.alerts, fn) }
 // SetFlightRecorder attaches the /debug/flightrecorder source.
 func (s *Server) SetFlightRecorder(fn func() any) { storeFn(&s.flight, fn) }
 
-// readyFn reports readiness plus a human reason while not ready.
-type readyFn func() (bool, string)
-
 // SetStore attaches (or, with nil, detaches) the embedded time-series
 // store behind /api/v1/series, /api/v1/query_range and
 // /api/v1/alerts/history.
 func (s *Server) SetStore(st *tsdb.Store) { s.store.Store(st) }
-
-// SetReady attaches the /readyz gate after construction. Prefer
-// WithReady when the gate must hold from the first request — a
-// late-bound gate leaves a window where /readyz reports default-ready.
-func (s *Server) SetReady(fn func() (bool, string)) {
-	if fn == nil {
-		s.ready.Store(nil)
-		return
-	}
-	rf := readyFn(fn)
-	s.ready.Store(&rf)
-}
 
 // SetIngest mounts (or, with nil, unmounts) the fleet ingest service
 // after construction — serve builds it once the detector is trained.
@@ -402,10 +317,6 @@ func (s *Server) SetModels(fn func() []ModelInfo) {
 	s.models.Store(&mf)
 }
 
-// SetProfiler attaches (or, with nil, detaches) the continuous
-// profiler behind /api/v1/profiles after construction.
-func (s *Server) SetProfiler(p *profile.Profiler) { s.profiler.Store(p) }
-
 // handleProfiles serves the continuous profiler's capture ring:
 //
 //	GET /api/v1/profiles                capture metadata newest-first,
@@ -420,7 +331,7 @@ func (s *Server) SetProfiler(p *profile.Profiler) { s.profiler.Store(p) }
 //
 // 404 until a profiler is attached (disabled via -profile-interval 0).
 func (s *Server) handleProfiles(w http.ResponseWriter, r *http.Request) {
-	p := s.profiler.Load()
+	p := s.cfg.profiler
 	if p == nil {
 		httpapi.Error(w, http.StatusNotFound, httpapi.CodeNotFound,
 			"no continuous profiler attached (enabled by default under -listen; -profile-interval 0 disables it)")
@@ -665,8 +576,6 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
   /api/v1/profiles/{id}  raw pprof blob for "go tool pprof"; ?summary=1 for top-N JSON
   /debug/flightrecorder  flight-recorder rings (JSON)
   /debug/pprof  profiling (on-demand CPU captures capped at 1; 409 on contention)
-  (legacy /quality /drift /alerts /alerts/history /manifest /buildinfo
-   still answer, with a Deprecation header)
 `)
 }
 
@@ -682,8 +591,8 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 // running"). With no gate attached it mirrors liveness.
 func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	if fn := s.ready.Load(); fn != nil {
-		if ok, reason := (*fn)(); !ok {
+	if s.cfg.ready != nil {
+		if ok, reason := s.cfg.ready(); !ok {
 			w.WriteHeader(http.StatusServiceUnavailable)
 			fmt.Fprintf(w, "not ready: %s\n", reason)
 			return
@@ -855,7 +764,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 // registry like any metric. Written only while a profiler is attached,
 // keeping the pre-profiler exposition byte-stable.
 func (s *Server) writeProfileCaptures(w http.ResponseWriter, openMetrics bool) {
-	p := s.profiler.Load()
+	p := s.cfg.profiler
 	if p == nil {
 		return
 	}
@@ -907,7 +816,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusOK)
 	flusher.Flush()
 
-	sub := s.cfg.bus.Subscribe(s.cfg.eventBuffer)
+	sub := s.cfg.bus.Subscribe(eventBuffer)
 	defer sub.Close()
 
 	// SSE streams get periodic comment-frame heartbeats so an idle
@@ -915,7 +824,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	// framing is line-delimited JSON only — never heartbeat it.
 	var keepalive <-chan time.Time
 	if sse {
-		t := time.NewTicker(s.cfg.sseKeepAlive)
+		t := time.NewTicker(s.keepAlive)
 		defer t.Stop()
 		keepalive = t.C
 	}

@@ -18,7 +18,7 @@ func testServer(t *testing.T) (*Server, *obs.Registry, *obs.Bus) {
 	t.Helper()
 	reg := obs.NewRegistry()
 	bus := obs.NewBus()
-	s := New(WithRegistry(reg), WithBus(bus), WithTracer(obs.NewTracer()), WithEventBuffer(8))
+	s := New(WithRegistry(reg), WithBus(bus), WithTracer(obs.NewTracer()))
 	return s, reg, bus
 }
 
@@ -89,7 +89,7 @@ func TestHealthzAndIndexAndBuildInfo(t *testing.T) {
 	if code, body, _ := get(t, s.Handler(), "/"); code != 200 || !strings.Contains(body, "/metrics") {
 		t.Errorf("index = %d %q", code, body)
 	}
-	code, body, hdr := get(t, s.Handler(), "/buildinfo")
+	code, body, hdr := get(t, s.Handler(), "/api/v1/buildinfo")
 	if code != 200 || hdr.Get("Content-Type") != "application/json" {
 		t.Fatalf("buildinfo = %d %q", code, hdr.Get("Content-Type"))
 	}
@@ -107,13 +107,13 @@ func TestHealthzAndIndexAndBuildInfo(t *testing.T) {
 
 func TestManifestEndpoint(t *testing.T) {
 	s, _, _ := testServer(t)
-	if code, _, _ := get(t, s.Handler(), "/manifest"); code != 404 {
+	if code, _, _ := get(t, s.Handler(), "/api/v1/manifest"); code != 404 {
 		t.Errorf("manifest before SetManifest = %d, want 404", code)
 	}
 	m := obs.NewManifest("hpcmal", "serve")
 	m.Seed = 7
 	s.SetManifest(m)
-	code, body, _ := get(t, s.Handler(), "/manifest")
+	code, body, _ := get(t, s.Handler(), "/api/v1/manifest")
 	if code != 200 {
 		t.Fatalf("manifest = %d", code)
 	}
@@ -285,7 +285,7 @@ func TestMetricsExposeBusDrops(t *testing.T) {
 // 404 until a source is attached, indented JSON after.
 func TestQualityEndpoints(t *testing.T) {
 	s, _, _ := testServer(t)
-	paths := []string{"/quality", "/drift", "/alerts", "/debug/flightrecorder"}
+	paths := []string{"/api/v1/quality", "/api/v1/drift", "/api/v1/alerts", "/debug/flightrecorder"}
 	for _, p := range paths {
 		if code, _, _ := get(t, s.Handler(), p); code != 404 {
 			t.Errorf("%s before attach = %d, want 404", p, code)
@@ -296,9 +296,9 @@ func TestQualityEndpoints(t *testing.T) {
 	s.SetAlerts(func() any { return map[string]any{"firing": 2} })
 	s.SetFlightRecorder(func() any { return map[string]any{"reason": "snapshot"} })
 	wants := map[string]string{
-		"/quality":              `"f1": 0.93`,
-		"/drift":                `"drifting": 1`,
-		"/alerts":               `"firing": 2`,
+		"/api/v1/quality":       `"f1": 0.93`,
+		"/api/v1/drift":         `"drifting": 1`,
+		"/api/v1/alerts":        `"firing": 2`,
 		"/debug/flightrecorder": `"reason": "snapshot"`,
 	}
 	for _, p := range paths {
@@ -312,8 +312,8 @@ func TestQualityEndpoints(t *testing.T) {
 	}
 	// Detaching restores 404.
 	s.SetQuality(nil)
-	if code, _, _ := get(t, s.Handler(), "/quality"); code != 404 {
-		t.Errorf("detached /quality = %d, want 404", code)
+	if code, _, _ := get(t, s.Handler(), "/api/v1/quality"); code != 404 {
+		t.Errorf("detached /api/v1/quality = %d, want 404", code)
 	}
 }
 

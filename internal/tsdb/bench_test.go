@@ -44,16 +44,18 @@ func BenchmarkScrape(b *testing.B) {
 func BenchmarkScrapeSteadyState(b *testing.B) {
 	reg := obs.NewRegistry()
 	populate(reg)
-	st := New(Config{Registry: reg, Interval: time.Second, Bus: obs.NewBus(),
-		RawCapacity: 64, MidCapacity: 64, LongCapacity: 64})
+	st := New(Config{Registry: reg, Interval: time.Second, Bus: obs.NewBus()})
 	t0 := time.UnixMilli(1_700_000_000_000)
-	for i := 0; i < 2000; i++ {
-		st.ScrapeAt(t0.Add(time.Duration(i) * time.Second))
+	// One scrape per 2-minute bucket opens a new bucket in every tier,
+	// so longCapacity scrapes fill all three rings.
+	for i := 0; i < longCapacity; i++ {
+		st.ScrapeAt(t0.Add(time.Duration(i) * 2 * time.Minute))
 	}
+	t1 := t0.Add(longCapacity * 2 * time.Minute)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		st.ScrapeAt(t0.Add(time.Duration(2000+i) * time.Second))
+		st.ScrapeAt(t1.Add(time.Duration(i) * time.Second))
 	}
 }
 

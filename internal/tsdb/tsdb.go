@@ -8,9 +8,9 @@
 // 1 s) — snapshot-based, so nothing on the detection hot path ever
 // blocks on the store — and streams each metric into three tiers:
 //
-//	raw   one point per scrape     (default 600 points ≈ 10 min at 1 s)
-//	15s   15-second buckets        (default 480 points = 2 h)
-//	2m    2-minute buckets         (default 720 points = 24 h)
+//	raw   one point per scrape     (600 points ≈ 10 min at 1 s)
+//	15s   15-second buckets        (480 points = 2 h)
+//	2m    2-minute buckets         (720 points = 24 h)
 //
 // Every tier bucket keeps min/max/sum/count, so compaction preserves
 // spikes (the max survives) and troughs (the min survives) instead of
@@ -19,10 +19,9 @@
 // "name:p50" and "name:p99" sampled through the shared
 // obs.HistogramSnapshot.Quantile helper.
 //
-// Memory is bounded by ring capacity, not wall-clock: with the default
-// capacities each series costs (600+480+720) × 40 B = 72 KB regardless
-// of uptime, and the series population is bounded by the registry's
-// metric names. The store also retains a bounded ring of alert, drift
+// Memory is bounded by ring capacity, not wall-clock: each series costs
+// (600+480+720) × 40 B = 72 KB regardless of uptime, and the series
+// population is bounded by the registry's metric names. The store also retains a bounded ring of alert, drift
 // and alarm events — the /alerts/history payload — so "what fired in
 // the last hour" outlives the alert engine's current state.
 package tsdb
@@ -56,8 +55,23 @@ const (
 	longResMS = 120_000
 )
 
+// Per-series tier capacities in points: together they are the store's
+// memory cap, bytes/series = 40 × (raw+mid+long).
+const (
+	rawCapacity  = 600
+	midCapacity  = 480
+	longCapacity = 720
+)
+
 // tierNames index-matches series.tiers.
 var tierNames = []string{"raw", "15s", "2m"}
+
+// eventDepth bounds the event-history ring.
+const eventDepth = 512
+
+// historyEvents are the bus event types the history ring keeps.
+var historyEvents = map[string]bool{"alarm": true, "alert": true, "alert_resolved": true,
+	"drift": true, "drift_resolved": true, "profile.regression": true}
 
 // Config configures a Store. Zero fields take defaults.
 type Config struct {
@@ -65,21 +79,9 @@ type Config struct {
 	Registry *obs.Registry
 	// Interval is the scrape period for Run (default 1 s).
 	Interval time.Duration
-	// RawCapacity / MidCapacity / LongCapacity bound the per-series
-	// tiers (defaults 600 / 480 / 720 points). Together they are the
-	// store's documented memory cap: bytes/series = 40 × (raw+mid+long).
-	RawCapacity  int
-	MidCapacity  int
-	LongCapacity int
 	// Bus, when non-nil (default obs.DefaultBus), is watched by Run for
-	// EventTypes, retained in a bounded history ring.
+	// the historyEvents types, retained in a bounded history ring.
 	Bus *obs.Bus
-	// EventTypes selects which bus events the history ring keeps
-	// (default alarm, alert, alert_resolved, drift, drift_resolved,
-	// profile.regression).
-	EventTypes []string
-	// EventDepth bounds the event-history ring (default 512).
-	EventDepth int
 	// PreScrape, when set, runs at the start of every ScrapeAt — the
 	// hook the runtime/metrics collector uses so runtime gauges are
 	// refreshed on the same cadence as the series that record them.
@@ -115,28 +117,13 @@ func New(cfg Config) *Store {
 	if cfg.Interval <= 0 {
 		cfg.Interval = time.Second
 	}
-	if cfg.RawCapacity <= 0 {
-		cfg.RawCapacity = 600
-	}
-	if cfg.MidCapacity <= 0 {
-		cfg.MidCapacity = 480
-	}
-	if cfg.LongCapacity <= 0 {
-		cfg.LongCapacity = 720
-	}
 	if cfg.Bus == nil {
 		cfg.Bus = obs.DefaultBus
-	}
-	if cfg.EventTypes == nil {
-		cfg.EventTypes = []string{"alarm", "alert", "alert_resolved", "drift", "drift_resolved", "profile.regression"}
-	}
-	if cfg.EventDepth <= 0 {
-		cfg.EventDepth = 512
 	}
 	return &Store{
 		cfg:      cfg,
 		series:   map[string]*series{},
-		events:   make([]obs.Event, cfg.EventDepth),
+		events:   make([]obs.Event, eventDepth),
 		mScrapes: cfg.Registry.Counter(ScrapesMetric),
 		mSamples: cfg.Registry.Counter(SamplesMetric),
 		gSeries:  cfg.Registry.Gauge(SeriesMetric),
@@ -155,9 +142,9 @@ func (st *Store) observeLocked(name, kind string, tMS int64, v float64) {
 	s, ok := st.series[name]
 	if !ok {
 		s = &series{name: name, kind: kind, tiers: []*ring{
-			newRing(0, st.cfg.RawCapacity),
-			newRing(midResMS, st.cfg.MidCapacity),
-			newRing(longResMS, st.cfg.LongCapacity),
+			newRing(0, rawCapacity),
+			newRing(midResMS, midCapacity),
+			newRing(longResMS, longCapacity),
 		}}
 		st.series[name] = s
 	}
@@ -257,10 +244,6 @@ func (st *Store) Run(ctx context.Context) {
 	st.running.Store(true)
 	defer st.running.Store(false)
 
-	keep := map[string]bool{}
-	for _, t := range st.cfg.EventTypes {
-		keep[t] = true
-	}
 	var events <-chan obs.Event
 	if st.cfg.Bus != nil {
 		sub := st.cfg.Bus.Subscribe(256)
@@ -282,7 +265,7 @@ func (st *Store) Run(ctx context.Context) {
 				events = nil
 				continue
 			}
-			if keep[e.Type] {
+			if historyEvents[e.Type] {
 				st.RecordEvent(e)
 			}
 		}

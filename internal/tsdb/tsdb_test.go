@@ -115,17 +115,16 @@ func TestDownsamplingInvariants(t *testing.T) {
 
 func TestQueryRangeTierSelection(t *testing.T) {
 	reg := obs.NewRegistry()
-	st := New(Config{Registry: reg, Interval: time.Second, Bus: obs.NewBus(),
-		RawCapacity: 60}) // raw retains only the last minute
+	st := New(Config{Registry: reg, Interval: time.Second, Bus: obs.NewBus()})
 	t0 := time.UnixMilli(1_700_000_000_000)
-	vals := make([]float64, 600)
+	vals := make([]float64, 6000) // raw retains only the last 10 of 100 minutes
 	for i := range vals {
 		vals[i] = float64(i)
 	}
 	fill(st, reg, t0, vals)
-	from, to := t0.UnixMilli(), t0.Add(10*time.Minute).UnixMilli()
+	from, to := t0.UnixMilli(), t0.Add(100*time.Minute).UnixMilli()
 
-	// step 0 over the full range: raw can't reach back 10 min, the 15 s
+	// step 0 over the full range: raw can't reach back 100 min, the 15 s
 	// tier can.
 	qr, err := st.QueryRange("g", from, to, 0, "avg")
 	if err != nil {
@@ -134,8 +133,8 @@ func TestQueryRangeTierSelection(t *testing.T) {
 	if qr.Tier != "15s" || qr.StepMS != 15_000 {
 		t.Fatalf("full-range tier = %s step %d, want 15s/15000", qr.Tier, qr.StepMS)
 	}
-	if len(qr.Points) != 40 {
-		t.Fatalf("points = %d, want 40 (600 s / 15 s)", len(qr.Points))
+	if len(qr.Points) != 400 {
+		t.Fatalf("points = %d, want 400 (6000 s / 15 s)", len(qr.Points))
 	}
 
 	// A recent narrow window at fine step answers from raw.
@@ -268,8 +267,7 @@ func TestScrapeHistogramSeries(t *testing.T) {
 
 func TestSeriesCatalog(t *testing.T) {
 	reg := obs.NewRegistry()
-	st := New(Config{Registry: reg, Interval: time.Second, Bus: obs.NewBus(),
-		RawCapacity: 10, MidCapacity: 20, LongCapacity: 30})
+	st := New(Config{Registry: reg, Interval: time.Second, Bus: obs.NewBus()})
 	t0 := time.UnixMilli(1_700_000_000_000)
 	fill(st, reg, t0, []float64{1, 2, 3})
 	cat := st.Series()
@@ -285,8 +283,8 @@ func TestSeriesCatalog(t *testing.T) {
 	if g == nil || g.Kind != KindGauge || g.Samples != 3 {
 		t.Fatalf("series g = %+v", g)
 	}
-	if len(g.Tiers) != 3 || g.Tiers[0].Capacity != 10 || g.Tiers[1].Capacity != 20 ||
-		g.Tiers[2].Capacity != 30 {
+	if len(g.Tiers) != 3 || g.Tiers[0].Capacity != rawCapacity ||
+		g.Tiers[1].Capacity != midCapacity || g.Tiers[2].Capacity != longCapacity {
 		t.Fatalf("tiers = %+v", g.Tiers)
 	}
 	if g.Tiers[0].Name != "raw" || g.Tiers[1].ResMS != 15_000 || g.Tiers[2].ResMS != 120_000 {
@@ -302,15 +300,16 @@ func TestSeriesCatalog(t *testing.T) {
 
 func TestEventHistoryRing(t *testing.T) {
 	reg := obs.NewRegistry()
-	st := New(Config{Registry: reg, Bus: obs.NewBus(), EventDepth: 4})
-	for i := 0; i < 7; i++ {
+	st := New(Config{Registry: reg, Bus: obs.NewBus()})
+	total := eventDepth + 3
+	for i := 0; i < total; i++ {
 		st.RecordEvent(obs.Event{Type: "alert", Window: i})
 	}
 	h := st.Events()
-	if h.Total != 7 || h.Depth != 4 || len(h.Events) != 4 {
+	if h.Total != int64(total) || h.Depth != eventDepth || len(h.Events) != eventDepth {
 		t.Fatalf("history = total %d depth %d len %d", h.Total, h.Depth, len(h.Events))
 	}
-	if h.Events[0].Window != 3 || h.Events[3].Window != 6 {
+	if h.Events[0].Window != 3 || h.Events[eventDepth-1].Window != total-1 {
 		t.Fatalf("history order = %+v", h.Events)
 	}
 }
@@ -319,8 +318,7 @@ func TestRunScrapesAndWatches(t *testing.T) {
 	reg := obs.NewRegistry()
 	bus := obs.NewBus()
 	reg.Counter("c").Add(5)
-	st := New(Config{Registry: reg, Interval: 5 * time.Millisecond, Bus: bus,
-		EventTypes: []string{"alarm"}})
+	st := New(Config{Registry: reg, Interval: 5 * time.Millisecond, Bus: bus})
 	if st.Running() {
 		t.Fatal("running before Run")
 	}
