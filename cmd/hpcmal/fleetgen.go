@@ -53,6 +53,9 @@ func cmdFleetgen(args []string) error {
 	if *tenants < 1 || *endpoints < 1 || *batch < 1 || *rounds < 1 {
 		return fmt.Errorf("fleetgen: -tenants, -endpoints, -batch and -rounds must be >= 1")
 	}
+	if *ndjson && *dropOldest {
+		return fmt.Errorf("fleetgen: -drop-oldest needs JSON batches: the overflow policy travels in the batch envelope, and NDJSON bodies carry none")
+	}
 	base := "http://" + *addr
 	client := &http.Client{Timeout: 30 * time.Second}
 
@@ -96,6 +99,12 @@ func cmdFleetgen(args []string) error {
 	}
 
 	if err := waitReady(ctx, client, base, *readyTimeout); err != nil {
+		return err
+	}
+	// The daemon may have classified other traffic before this run: the
+	// server-side numbers below are what changed since this reading.
+	before, err := getStats(ctx, client, base)
+	if err != nil {
 		return err
 	}
 
@@ -183,9 +192,10 @@ func cmdFleetgen(args []string) error {
 		fmt.Printf("client: %d traceparents stamped, %d joined by the server (inspect via /api/v1/traces)\n",
 			stampedTotal.Load(), joinedTotal.Load())
 	}
+	processed := stats.WindowsProcessed - before.WindowsProcessed
 	fmt.Printf("server: %d windows classified from %d tenants in %.2fs — %.0f windows/s sustained, verdict latency p50 %.2f ms p99 %.2f ms\n",
-		stats.WindowsProcessed, stats.Tenants, wall.Seconds(),
-		stats.WindowsPerSec, stats.VerdictLatencyP50MS, stats.VerdictLatencyP99MS)
+		processed, stats.Tenants, wall.Seconds(), float64(processed)/wall.Seconds(),
+		stats.VerdictLatencyP50MS, stats.VerdictLatencyP99MS)
 	return nil
 }
 
@@ -227,12 +237,6 @@ func postWindows(ctx context.Context, client *http.Client, base, tenant, overflo
 		req.Header.Set(ingest.TenantHeader, tenant)
 		if stamp {
 			req.Header.Set(ingest.TraceparentHeader, tc.Traceparent())
-		}
-		if ndjson && overflow != "" {
-			// NDJSON bodies carry no batch envelope; pass the policy by query.
-			q := req.URL.Query()
-			q.Set("tenant", tenant)
-			req.URL.RawQuery = q.Encode()
 		}
 		t0 := time.Now()
 		resp, err := client.Do(req)
@@ -297,26 +301,35 @@ func waitReady(ctx context.Context, client *http.Client, base string, timeout ti
 	}
 }
 
+// getStats reads the daemon's fleet ingest stats.
+func getStats(ctx context.Context, client *http.Client, base string) (ingest.Stats, error) {
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/api/v1/ingest", nil)
+	if err != nil {
+		return ingest.Stats{}, err
+	}
+	resp, err := client.Do(req)
+	if err != nil {
+		return ingest.Stats{}, err
+	}
+	payload, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return ingest.Stats{}, err
+	}
+	var stats ingest.Stats
+	if err := json.Unmarshal(payload, &stats); err != nil {
+		return ingest.Stats{}, fmt.Errorf("fleetgen: bad stats payload: %w (%s)", err, bytes.TrimSpace(payload))
+	}
+	return stats, nil
+}
+
 // waitDrain polls the ingest stats until the server's queues are empty.
 func waitDrain(ctx context.Context, client *http.Client, base string, timeout time.Duration) (ingest.Stats, error) {
 	deadline := time.Now().Add(timeout)
 	for {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, base+"/api/v1/ingest", nil)
+		stats, err := getStats(ctx, client, base)
 		if err != nil {
-			return ingest.Stats{}, err
-		}
-		resp, err := client.Do(req)
-		if err != nil {
-			return ingest.Stats{}, err
-		}
-		payload, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			return ingest.Stats{}, err
-		}
-		var stats ingest.Stats
-		if err := json.Unmarshal(payload, &stats); err != nil {
-			return ingest.Stats{}, fmt.Errorf("fleetgen: bad stats payload: %w (%s)", err, bytes.TrimSpace(payload))
+			return stats, err
 		}
 		if stats.Queued == 0 {
 			return stats, nil

@@ -5,26 +5,54 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"os"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/ingest"
 )
 
+// fleetgenOutput runs fleetgen with args and returns what it printed.
+func fleetgenOutput(t *testing.T, args ...string) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	out := make(chan string)
+	go func() {
+		b, _ := io.ReadAll(r)
+		out <- string(b)
+	}()
+	err = cmdFleetgen(args)
+	os.Stdout = stdout
+	w.Close()
+	printed := <-out
+	if err != nil {
+		t.Fatalf("fleetgen: %v\n%s", err, printed)
+	}
+	return printed
+}
+
 // TestFleetgenAgainstServe is the fleet e2e: a pure-ingest serve
 // (-replay=false) absorbs a small fleetgen run, every window lands in a
 // per-tenant scoreboard behind /api/v1/tenants, and the serve-level
-// scoreboard answers on /api/v1/quality.
+// scoreboard answers on /api/v1/quality. A second run against the same
+// daemon reports only its own windows on its server: line.
 func TestFleetgenAgainstServe(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	srv, errc := startServe(t, ctx, []string{
 		"-scale", "0.01", "-replay=false", "-quiet"})
 
-	if err := cmdFleetgen([]string{
-		"-addr", srv.Addr(), "-tenants", "2", "-endpoints", "2",
-		"-batch", "8", "-rounds", "3", "-windows", "16"}); err != nil {
-		t.Fatalf("fleetgen: %v", err)
+	fleet := []string{"-addr", srv.Addr(), "-tenants", "2", "-endpoints", "2",
+		"-batch", "8", "-rounds", "3", "-windows", "16"}
+	const serverLine = "server: 96 windows classified"
+	if out := fleetgenOutput(t, fleet...); !strings.Contains(out, serverLine) {
+		t.Fatalf("first run output lacks %q:\n%s", serverLine, out)
 	}
 
 	getJSON := func(path string, out any) (int, http.Header) {
@@ -86,6 +114,15 @@ func TestFleetgenAgainstServe(t *testing.T) {
 		t.Fatalf("/api/v1/quality = %d", code)
 	}
 
+	// The daemon has now classified 96 windows; the next run adds 96 and
+	// reports those alone.
+	if out := fleetgenOutput(t, fleet...); !strings.Contains(out, serverLine) {
+		t.Fatalf("second run output lacks %q:\n%s", serverLine, out)
+	}
+	if code, _ := getJSON("/api/v1/ingest", &st); code != 200 || st.WindowsProcessed != 2*96 {
+		t.Fatalf("/api/v1/ingest = %d, stats %+v", code, st)
+	}
+
 	cancel()
 	select {
 	case err := <-errc:
@@ -94,5 +131,15 @@ func TestFleetgenAgainstServe(t *testing.T) {
 		}
 	case <-time.After(120 * time.Second):
 		t.Fatal("serve did not exit")
+	}
+}
+
+// TestFleetgenNDJSONDropOldest: NDJSON bodies carry no batch envelope,
+// so they cannot ask for drop-oldest; fleetgen refuses the combination
+// before it contacts any daemon.
+func TestFleetgenNDJSONDropOldest(t *testing.T) {
+	err := cmdFleetgen([]string{"-addr", "127.0.0.1:1", "-ndjson", "-drop-oldest"})
+	if err == nil || !strings.Contains(err.Error(), "NDJSON bodies carry no") {
+		t.Fatalf("err = %v, want the NDJSON/drop-oldest refusal", err)
 	}
 }

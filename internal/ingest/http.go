@@ -1,11 +1,8 @@
 package ingest
 
 import (
-	"bufio"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"net/http"
 	"strconv"
@@ -126,64 +123,24 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var batch Batch
-	ct := r.Header.Get("Content-Type")
-	if strings.HasPrefix(ct, "application/x-ndjson") {
-		sc := bufio.NewScanner(body)
-		sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-		line := 0
-		for sc.Scan() {
-			raw := strings.TrimSpace(sc.Text())
-			line++
-			if raw == "" {
-				continue
-			}
-			var win Window
-			if err := json.Unmarshal([]byte(raw), &win); err != nil {
-				httpapi.Errorf(w, http.StatusBadRequest, httpapi.CodeBadRequest,
-					"ndjson line %d: %v", line, err)
-				return
-			}
-			batch.Windows = append(batch.Windows, win)
-			if len(batch.Windows) > maxBatchWindows {
-				httpapi.Errorf(w, http.StatusBadRequest, httpapi.CodeBadRequest,
-					"batch exceeds %d windows", maxBatchWindows)
-				return
-			}
-		}
-		if err := sc.Err(); err != nil {
-			httpapi.Errorf(w, http.StatusBadRequest, httpapi.CodeBadRequest,
-				"reading ndjson body: %v", err)
-			return
-		}
+	var err error
+	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/x-ndjson") {
+		batch.Windows, err = readNDJSON(body)
 	} else {
-		dec := json.NewDecoder(body)
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&batch); err != nil {
-			var maxErr *http.MaxBytesError
-			if errors.As(err, &maxErr) {
-				httpapi.Errorf(w, http.StatusBadRequest, httpapi.CodeBadRequest,
-					"body exceeds %d bytes", maxErr.Limit)
-				return
-			}
-			httpapi.Errorf(w, http.StatusBadRequest, httpapi.CodeBadRequest,
-				"decoding batch: %v", err)
-			return
-		}
-		if dec.More() {
-			httpapi.Error(w, http.StatusBadRequest, httpapi.CodeBadRequest,
-				"trailing data after batch object (use application/x-ndjson for streams)")
-			return
-		}
-		if batch.Tenant != "" {
-			if tenantID != "" && batch.Tenant != tenantID {
-				httpapi.Errorf(w, http.StatusBadRequest, httpapi.CodeBadRequest,
-					"conflicting tenant ids: request %q vs body %q", tenantID, batch.Tenant)
-				return
-			}
-			tenantID = batch.Tenant
-		}
+		batch, err = readBatch(body, r.ContentLength)
 	}
-	io.Copy(io.Discard, body)
+	if err != nil {
+		httpapi.Error(w, http.StatusBadRequest, httpapi.CodeBadRequest, err.Error())
+		return
+	}
+	if batch.Tenant != "" {
+		if tenantID != "" && batch.Tenant != tenantID {
+			httpapi.Errorf(w, http.StatusBadRequest, httpapi.CodeBadRequest,
+				"conflicting tenant ids: request %q vs body %q", tenantID, batch.Tenant)
+			return
+		}
+		tenantID = batch.Tenant
+	}
 
 	if !validTenantID(tenantID) {
 		httpapi.Errorf(w, http.StatusBadRequest, httpapi.CodeBadRequest,
