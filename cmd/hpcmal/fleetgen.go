@@ -80,21 +80,9 @@ func cmdFleetgen(args []string) error {
 			if err != nil {
 				return fmt.Errorf("fleetgen: collecting %s windows: %w", class, err)
 			}
-			label := 0
-			if class.IsMalware() {
-				label = 1
-			}
-			ws := make([]ingest.Window, len(tr.Records))
 			epID := fmt.Sprintf("%s-ep-%02d", class, e)
-			for i := range tr.Records {
-				lbl := label
-				ws[i] = ingest.Window{
-					Endpoint: epID,
-					Label:    &lbl,
-					Values:   tr.Records[i].Values(),
-				}
-			}
-			loads = append(loads, endpointLoad{tenant: tenantID, endpoint: epID, windows: ws})
+			loads = append(loads, endpointLoad{tenant: tenantID, endpoint: epID,
+				windows: traceWindows(tr, epID)})
 		}
 	}
 
@@ -197,6 +185,20 @@ func cmdFleetgen(args []string) error {
 		processed, stats.Tenants, wall.Seconds(), float64(processed)/wall.Seconds(),
 		stats.VerdictLatencyP50MS, stats.VerdictLatencyP99MS)
 	return nil
+}
+
+// traceWindows turns a collected trace into ingest windows from one
+// endpoint, each labeled with the trace's class (1 = malware).
+func traceWindows(tr *trace.Trace, endpoint string) []ingest.Window {
+	label := 0
+	if tr.Class.IsMalware() {
+		label = 1
+	}
+	ws := make([]ingest.Window, len(tr.Records))
+	for i := range tr.Records {
+		ws[i] = ingest.Window{Endpoint: endpoint, Label: &label, Values: tr.Records[i].Values()}
+	}
+	return ws
 }
 
 // postWindows sends one batch (retrying on 429 per its Retry-After) and

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -39,14 +40,17 @@ func fleetgenOutput(t *testing.T, args ...string) string {
 
 // TestFleetgenAgainstServe is the fleet e2e: a pure-ingest serve
 // (-replay=false) absorbs a small fleetgen run, every window lands in a
-// per-tenant scoreboard behind /api/v1/tenants, and the serve-level
-// scoreboard answers on /api/v1/quality. A second run against the same
-// daemon reports only its own windows on its server: line.
+// per-tenant scoreboard behind /api/v1/tenants, the idle replay tenant
+// is listed beside the fleet's, and the serve-level scoreboard answers
+// on /api/v1/quality. The fleet's alarms leave a flight-recorder
+// incident but stay out of the alert history. A second run against the
+// same daemon reports only its own windows on its server: line.
 func TestFleetgenAgainstServe(t *testing.T) {
+	incidents := filepath.Join(t.TempDir(), "incidents")
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	srv, errc := startServe(t, ctx, []string{
-		"-scale", "0.01", "-replay=false", "-quiet"})
+		"-scale", "0.01", "-replay=false", "-incident-dir", incidents, "-quiet"})
 
 	fleet := []string{"-addr", srv.Addr(), "-tenants", "2", "-endpoints", "2",
 		"-batch", "8", "-rounds", "3", "-windows", "16"}
@@ -71,17 +75,21 @@ func TestFleetgenAgainstServe(t *testing.T) {
 		return resp.StatusCode, resp.Header
 	}
 
-	// Both tenants exist, fully drained, with classified windows.
+	// Both fleet tenants exist, fully drained, with classified windows,
+	// listed beside the replay tenant serve creates at start-up.
 	var tl struct {
 		Tenants []ingest.TenantSummary `json:"tenants"`
 	}
 	if code, _ := getJSON("/api/v1/tenants", &tl); code != 200 {
 		t.Fatalf("/api/v1/tenants = %d", code)
 	}
-	if len(tl.Tenants) != 2 {
+	if len(tl.Tenants) != 3 {
 		t.Fatalf("tenants = %+v", tl.Tenants)
 	}
 	for _, ts := range tl.Tenants {
+		if ts.ID == ingest.ReplayTenant {
+			continue
+		}
 		if ts.WindowsProcessed != 2*3*8 || ts.Queued != 0 {
 			t.Fatalf("tenant %s = %+v", ts.ID, ts)
 		}
@@ -103,7 +111,7 @@ func TestFleetgenAgainstServe(t *testing.T) {
 	if code, _ := getJSON("/api/v1/ingest", &st); code != 200 {
 		t.Fatalf("/api/v1/ingest = %d", code)
 	}
-	if st.WindowsProcessed != 2*2*3*8 || st.Tenants != 2 || st.WindowsPerSec <= 0 {
+	if st.WindowsProcessed != 2*2*3*8 || st.Tenants != 3 || st.WindowsPerSec <= 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 	if st.VerdictLatencyP99MS < st.VerdictLatencyP50MS {
@@ -112,6 +120,36 @@ func TestFleetgenAgainstServe(t *testing.T) {
 
 	if code, _ := getJSON("/api/v1/quality", nil); code != 200 {
 		t.Fatalf("/api/v1/quality = %d", code)
+	}
+
+	// The fleet's malware endpoints raised ingest alarms; the first one
+	// dumped an incident. Fleet alarms stay out of the alert history.
+	if st.Alarms == 0 {
+		t.Fatalf("fleet raised no alarms: %+v", st)
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for {
+		files, _ := filepath.Glob(filepath.Join(incidents, "incident-*-"+ingest.EventAlarm+".json"))
+		if len(files) > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no %s incident in %s after %d alarms", ingest.EventAlarm, incidents, st.Alarms)
+		}
+		time.Sleep(20 * time.Millisecond)
+	}
+	var hist struct {
+		Events []struct {
+			Type string `json:"type"`
+		} `json:"events"`
+	}
+	if code, _ := getJSON("/api/v1/alerts/history", &hist); code != 200 {
+		t.Fatalf("/api/v1/alerts/history = %d", code)
+	}
+	for _, e := range hist.Events {
+		if e.Type == ingest.EventAlarm {
+			t.Fatalf("alert history holds an %s event: %+v", ingest.EventAlarm, hist.Events)
+		}
 	}
 
 	// The daemon has now classified 96 windows; the next run adds 96 and

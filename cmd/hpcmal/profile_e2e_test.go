@@ -25,7 +25,7 @@ func TestServeContinuousProfiling(t *testing.T) {
 	dir := t.TempDir()
 	rulesPath := filepath.Join(dir, "rules.json")
 	if err := os.WriteFile(rulesPath, []byte(`[
-		{"name": "replay-started", "metric": "online.monitors", "op": ">", "threshold": 0,
+		{"name": "replay-started", "metric": "ingest.windows_processed", "op": ">", "threshold": 0,
 		 "severity": "info", "msg": "traces are being monitored"}
 	]`), 0o644); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -17,7 +18,6 @@ import (
 	"repro/internal/infer"
 	"repro/internal/ingest"
 	"repro/internal/obs"
-	"repro/internal/online"
 	"repro/internal/profile"
 	"repro/internal/quality"
 	"repro/internal/telemetry"
@@ -47,12 +47,12 @@ func printVersion() {
 }
 
 // cmdServe runs the online detector as a long-lived daemon: it trains a
-// detector once, then replays freshly collected traces through
-// online.MonitorAll round after round, publishing alarms and window
-// verdicts to the live /events stream and all instruments to /metrics.
-// SIGINT/SIGTERM trigger a graceful shutdown: the signal context
-// propagates into the parallel monitoring pool (in-flight traces finish,
-// unclaimed ones are skipped) and the telemetry server drains.
+// detector once, mounts the fleet ingest service, then replays freshly
+// collected traces round after round into that service's reserved
+// replay tenant, so the replay and the fleet share one detection
+// pipeline. Alarms stream on /events and all instruments on /metrics.
+// SIGINT/SIGTERM trigger a graceful shutdown: the replay stops enqueueing
+// and the telemetry server drains.
 func cmdServe(args []string) error {
 	ctx, stop := signal.NotifyContext(context.Background(),
 		os.Interrupt, syscall.SIGTERM)
@@ -96,6 +96,10 @@ func runServe(ctx context.Context, args []string) error {
 	prec, err := infer.ParsePrecision(*precision)
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
+	}
+	if *replay && *windows > *ingestQueue {
+		return fmt.Errorf("serve: -windows %d exceeds -ingest-queue %d: each replayed trace is enqueued as one batch",
+			*windows, *ingestQueue)
 	}
 	var rules []alert.Rule
 	if *rulesPath != "" {
@@ -194,17 +198,12 @@ func runServe(ctx context.Context, args []string) error {
 		"rows", tbl.NumInstances())
 
 	// Model-quality observability: sketch the training distribution into
-	// the manifest, then score and drift-check the labeled replay live.
+	// the manifest; the ingest tenants drift-check their windows against it.
 	base, err := quality.CaptureBaseline(tbl.Attributes, rows, 16)
 	if err != nil {
 		return err
 	}
 	if of.manifest.Baseline, err = base.JSON(); err != nil {
-		return err
-	}
-	board := quality.NewScoreboard(quality.Config{})
-	driftDet, err := quality.NewDriftDetector(base, quality.DriftConfig{})
-	if err != nil {
 		return err
 	}
 	// Incident dumps embed the last five minutes of metric history, so a
@@ -220,8 +219,8 @@ func runServe(ctx context.Context, args []string) error {
 			return nil
 		},
 		// And the CPU profile nearest the trigger (the profiler pins
-		// alert/alarm-triggered captures), so the dump names the
-		// functions that were hot when the incident began.
+		// alert-triggered captures), so the dump names the functions
+		// that were hot when the incident began.
 		Profile: func() any {
 			if info, ok := of.Profiler().Latest(profile.TypeCPU); ok {
 				return info
@@ -232,13 +231,11 @@ func runServe(ctx context.Context, args []string) error {
 	// Alarms trip the recorder via the bus; firing alert rules via the
 	// engine's hook (each dump named after the rule that fired).
 	bg.Add(2)
-	go func() { defer bg.Done(); rec.Watch(ctx, obs.DefaultBus, online.EventAlarm) }()
+	go func() { defer bg.Done(); rec.Watch(ctx, obs.DefaultBus, ingest.EventAlarm) }()
 	eng := alert.New(rules, alert.WithOnFire(func(st alert.RuleStatus) {
 		rec.TryDump("alert-" + st.Rule.Name)
 	}))
 	go func() { defer bg.Done(); eng.Run(ctx, *alertInterval) }()
-	srv.SetQuality(func() any { return board.Snapshot() })
-	srv.SetDrift(func() any { return driftDet.Snapshot() })
 	srv.SetAlerts(func() any { return eng.Snapshot() })
 	srv.SetFlightRecorder(func() any { return rec.Snapshot() })
 	obs.Log().Info("model-quality observability armed",
@@ -246,7 +243,9 @@ func runServe(ctx context.Context, args []string) error {
 
 	// Fleet ingest: mount the sharded per-tenant detection service on the
 	// versioned API. Remote endpoints POST window batches; the replay loop
-	// below stays the self-generated labeled traffic source.
+	// below enqueues its labeled windows in process on the reserved
+	// replay tenant, whose scoreboard and drift detector are the
+	// daemon's /api/v1/quality and /api/v1/drift.
 	svc, err := ingest.New(ingest.Config{
 		Classifier:  clf,
 		Events:      tbl.Attributes,
@@ -259,8 +258,15 @@ func runServe(ctx context.Context, args []string) error {
 	if err != nil {
 		return err
 	}
+	// The replay tenant exists also under -replay=false, so the quality.*
+	// and drift.* series and their serve-level views answer from start-up.
+	if err := svc.AddTenant(ingest.ReplayTenant); err != nil {
+		return err
+	}
 	svc.Start(ctx)
 	srv.SetIngest(svc.Handler())
+	srv.SetQuality(func() any { q, _ := svc.TenantQuality(ingest.ReplayTenant); return q })
+	srv.SetDrift(func() any { d, _, _ := svc.TenantDrift(ingest.ReplayTenant); return d })
 	// The deployed-program catalog: /api/v1/models serves the ingest
 	// program's spec (precision, widths, scale table, agreement) and the
 	// dashboard's models panel links to it.
@@ -280,8 +286,7 @@ func runServe(ctx context.Context, args []string) error {
 
 	cfg := trace.DefaultConfig()
 	cfg.WindowsPerSample = *windows
-	classes := workload.AllClasses()
-	round, alarms := 0, 0
+	round, enqueued := 0, int64(0)
 	if !*replay {
 		// Pure ingest server: all traffic arrives over POST /api/v1/ingest
 		// (fleetgen or real endpoints). Hold until signalled.
@@ -289,9 +294,9 @@ func runServe(ctx context.Context, args []string) error {
 		<-ctx.Done()
 	}
 loop:
-	for ; *replay && (*rounds == 0 || round < *rounds); round++ {
+	for *replay && (*rounds == 0 || round < *rounds) {
 		rsp := obs.StartSpan("serve.round")
-		for _, class := range classes {
+		for _, class := range workload.AllClasses() {
 			if ctx.Err() != nil {
 				rsp.End()
 				break loop
@@ -304,61 +309,44 @@ loop:
 				rsp.End()
 				return err
 			}
-			// The replay is labeled — serve collects each trace knowing its
-			// class — so every window scores the scoreboard, feeds drift
-			// detection, and lands in the flight recorder's ring.
-			actual := 0
-			if class.IsMalware() {
-				actual = 1
-			}
-			observer := func(o online.WindowObservation) {
-				board.Observe(actual, o.Pred, o.Score)
-				driftDet.Observe(o.Values)
-				rec.RecordWindow(flightrec.WindowRecord{Sample: o.Sample,
-					Class: o.Class, Window: o.Window, Predicted: o.Pred,
-					Score: o.Score, Values: o.Values})
-			}
-			results, err := online.MonitorAll(clf, traces,
-				online.WithSamplePeriod(cfg.SamplePeriod),
-				online.WithContext(ctx),
-				online.WithWindowObserver(observer),
-				online.WithReqTracer(reqTracer))
-			if err != nil {
-				if ctx.Err() != nil {
-					// Cancelled mid-round by a signal: not a failure.
+			// Each trace is one labeled batch from endpoint <class>-<i>.
+			for i, tr := range traces {
+				ws := traceWindows(tr, fmt.Sprintf("%s-%d", class, i))
+				if err := enqueueReplay(ctx, svc, reqTracer, ws); err != nil {
 					rsp.End()
-					break loop
+					if ctx.Err() != nil {
+						break loop
+					}
+					return err
 				}
-				rsp.End()
-				return err
-			}
-			for _, res := range results {
-				if res != nil && res.Detected {
-					alarms++
-				}
+				enqueued += int64(len(ws))
 			}
 		}
+		// A round counts once every window it enqueued has its verdict.
+		scored := waitScored(ctx, svc, enqueued)
 		rsp.End()
-		// Rotate the sliding windows once per replay round: the scoreboard
-		// and drift detector report over the last 8 rounds.
-		board.Advance()
-		driftDet.Advance()
-		obs.Log().Info("replay round complete", "round", round+1,
-			"alarms_total", alarms)
-		if *rounds == 0 || round+1 < *rounds {
-			select {
-			case <-ctx.Done():
-				break loop
-			case <-time.After(*interval):
-			}
+		if !scored {
+			break
+		}
+		round++
+		sum, _ := svc.Tenant(ingest.ReplayTenant)
+		obs.Log().Info("replay round complete", "round", round, "alarms_total", sum.Alarms)
+		if round == *rounds {
+			break
+		}
+		select {
+		case <-ctx.Done():
+			break loop
+		case <-time.After(*interval):
 		}
 	}
 	if ctx.Err() != nil {
 		obs.Log().Info("signal received, shutting down")
 	}
 	ist := svc.Stats()
+	replayed, _ := svc.Tenant(ingest.ReplayTenant)
 	fmt.Printf("monitored %d rounds, %d alarms raised; ingest: %d windows from %d tenants (%.0f windows/s, p99 %.2f ms)\n",
-		round, alarms, ist.WindowsProcessed, ist.Tenants, ist.WindowsPerSec, ist.VerdictLatencyP99MS)
+		round, replayed.Alarms, ist.WindowsProcessed, ist.Tenants, ist.WindowsPerSec, ist.VerdictLatencyP99MS)
 
 	of.manifest.Config["classifier"] = *classifier
 	of.manifest.Config["precision"] = prec.String()
@@ -377,4 +365,41 @@ loop:
 	// finish() drains the telemetry server gracefully (open /events
 	// streams are closed, in-flight scrapes complete).
 	return of.finish()
+}
+
+// enqueueReplay queues one replayed trace on the replay tenant under a
+// head-sampled request trace, waiting out a full queue.
+func enqueueReplay(ctx context.Context, svc *ingest.Service, rt *obs.ReqTracer, ws []ingest.Window) error {
+	for {
+		at := rt.Sample(obs.TraceContext{}, "replay", ingest.ReplayTenant, time.Now().UnixNano())
+		_, err := svc.EnqueueTraced(ingest.ReplayTenant, "", ws, at)
+		if err == nil {
+			at.End(0) // released: the trace commits at its last verdict
+			return nil
+		}
+		at.SetError(err.Error())
+		at.End(time.Now().UnixNano())
+		var full *ingest.QueueFullError
+		if !errors.As(err, &full) {
+			return err
+		}
+		select {
+		case <-ctx.Done():
+			return ctx.Err()
+		case <-time.After(full.RetryAfter):
+		}
+	}
+}
+
+// waitScored waits until the replay tenant has a verdict for the first n
+// windows it was sent. After a signal it answers from the count read
+// after the signal, so a round whose windows were all scored still counts.
+func waitScored(ctx context.Context, svc *ingest.Service, n int64) bool {
+	for {
+		stopped := ctx.Err() != nil
+		if sum, _ := svc.Tenant(ingest.ReplayTenant); sum.WindowsProcessed >= n || stopped {
+			return sum.WindowsProcessed >= n
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }

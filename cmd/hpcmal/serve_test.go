@@ -14,7 +14,10 @@ import (
 	"time"
 
 	"repro/internal/alert"
+	"repro/internal/httpapi"
+	"repro/internal/ingest"
 	"repro/internal/obs"
+	"repro/internal/quality"
 	"repro/internal/telemetry"
 	"repro/internal/tsdb"
 )
@@ -44,10 +47,26 @@ func startServe(t *testing.T, ctx context.Context, args []string) (*telemetry.Se
 // one detection event — and cancelling the run context (the SIGINT path)
 // shuts everything down cleanly.
 func TestServeGracefulShutdown(t *testing.T) {
+	// Subscribe to /events before the detector trains, so the replay's
+	// first alarms cannot come before the subscription.
+	streams := make(chan *http.Response, 1)
+	serveStarted = func(s *telemetry.Server) {
+		resp, err := http.Get(s.URL() + "/events")
+		if err != nil {
+			t.Errorf("events: %v", err)
+		}
+		streams <- resp
+	}
+	defer func() { serveStarted = nil }()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	srv, errc := startServe(t, ctx, []string{
 		"-scale", "0.01", "-perclass", "1", "-windows", "16", "-quiet"})
+	stream := <-streams
+	if stream == nil {
+		t.FailNow()
+	}
+	defer stream.Body.Close()
 
 	if resp, err := http.Get(srv.URL() + "/healthz"); err != nil {
 		t.Fatalf("healthz: %v", err)
@@ -60,11 +79,6 @@ func TestServeGracefulShutdown(t *testing.T) {
 	}
 
 	// A detection event arrives on the live stream while traces replay.
-	stream, err := http.Get(srv.URL() + "/events")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stream.Body.Close()
 	lineCh := make(chan string, 1)
 	go func() {
 		r := bufio.NewReader(stream.Body)
@@ -74,8 +88,7 @@ func TestServeGracefulShutdown(t *testing.T) {
 				return
 			}
 			var e obs.Event
-			if json.Unmarshal([]byte(line), &e) == nil &&
-				(e.Type == "alarm" || e.Type == "window") {
+			if json.Unmarshal([]byte(line), &e) == nil && e.Type == ingest.EventAlarm {
 				select {
 				case lineCh <- line:
 				default:
@@ -169,6 +182,16 @@ func TestServeBoundedRounds(t *testing.T) {
 	}
 }
 
+// TestServeTraceLongerThanQueue: a replayed trace is enqueued as one
+// batch, so one longer than the ingest queue could never be accepted;
+// serve refuses it at start-up instead of retrying it forever.
+func TestServeTraceLongerThanQueue(t *testing.T) {
+	err := runServe(context.Background(), []string{"-windows", "64", "-ingest-queue", "32", "-quiet"})
+	if err == nil || !strings.Contains(err.Error(), "-windows 64 exceeds -ingest-queue 32") {
+		t.Fatalf("err = %v, want the start-up refusal", err)
+	}
+}
+
 func TestVersionPrints(t *testing.T) {
 	// Smoke: the version banner derives from build info without panicking.
 	bi := obs.Build()
@@ -188,10 +211,10 @@ func TestVersionPrints(t *testing.T) {
 func TestServeModelQualityStack(t *testing.T) {
 	dir := t.TempDir()
 	rulesPath := filepath.Join(dir, "rules.json")
-	// online.monitors is a counter that moves immediately, so the rule
-	// fires on the first evaluation tick.
+	// ingest.windows_processed is a counter that moves with the replay's
+	// first verdicts, so the rule fires on an early evaluation tick.
 	if err := os.WriteFile(rulesPath, []byte(`[
-		{"name": "replay-started", "metric": "online.monitors", "op": ">", "threshold": 0,
+		{"name": "replay-started", "metric": "ingest.windows_processed", "op": ">", "threshold": 0,
 		 "severity": "info", "msg": "traces are being monitored"}
 	]`), 0o644); err != nil {
 		t.Fatal(err)
@@ -230,23 +253,31 @@ func TestServeModelQualityStack(t *testing.T) {
 		}
 	}
 
-	// Wait for the first round to finish (rotation 1) so the scoreboard
-	// and drift detector have a full window of labeled replay.
+	// Wait until the replay tenant has scored the first round (6 classes
+	// × 1 trace × 16 windows) so the scoreboard and drift detector hold a
+	// full round of labeled replay.
+	deadline := time.Now().Add(180 * time.Second)
+	for {
+		var ts ingest.TenantSummary
+		getJSON("/api/v1/tenants/"+ingest.ReplayTenant, &ts)
+		if ts.WindowsProcessed >= 96 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the replay tenant never scored its first round")
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
 	var q struct {
-		Rotations      int64   `json:"rotations"`
 		WindowObserved int64   `json:"window_observed"`
 		Accuracy       float64 `json:"accuracy"`
 		Confusion      [][]int `json:"confusion"`
 		F1             float64 `json:"f1"`
 		Calibration    []any   `json:"calibration"`
 	}
-	deadline := time.Now().Add(180 * time.Second)
-	for q.Rotations == 0 || q.WindowObserved == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("/api/v1/quality never reported a scored window")
-		}
-		getJSON("/api/v1/quality", &q)
-		time.Sleep(100 * time.Millisecond)
+	getJSON("/api/v1/quality", &q)
+	if q.WindowObserved < 96 {
+		t.Fatalf("/api/v1/quality scored %d windows, want >= 96", q.WindowObserved)
 	}
 	if len(q.Confusion) != 2 || len(q.Calibration) == 0 {
 		t.Fatalf("/api/v1/quality = %+v", q)
@@ -317,14 +348,13 @@ func TestServeModelQualityStack(t *testing.T) {
 	if inc.Reason == "" || inc.Build == nil || inc.Manifest == nil {
 		t.Fatalf("incident = %+v", inc)
 	}
-	if inc.Metrics.Counters["online.monitors"] == 0 {
+	if inc.Metrics.Counters[ingest.ProcessedMetric] == 0 {
 		t.Fatal("incident metrics snapshot empty")
 	}
 
-	// The flight recorder debug endpoint serves its rings live.
+	// The flight recorder debug endpoint serves its ring live.
 	var fr struct {
-		Reason  string `json:"reason"`
-		Windows []any  `json:"windows"`
+		Reason string `json:"reason"`
 	}
 	getJSON("/debug/flightrecorder", &fr)
 	if fr.Reason != "snapshot" {
@@ -352,62 +382,80 @@ func TestServeModelQualityStack(t *testing.T) {
 // TestServeQualityDeterministicAcrossParallelism pins the determinism
 // contract end to end: the same bounded replay at -parallel 1 and
 // -parallel 8 produces identical confusion matrices and drift PSI,
-// because every quality update is a commutative count.
+// because the replay is one ingest tenant and every quality update is a
+// commutative count. Each run also checks that the replay is that
+// tenant: every replayed window is scored through the ingest service,
+// the serve-level quality and drift are byte-identical views of the
+// tenant's, HTTP clients cannot post to it, and a signal in the pause
+// after round 1 leaves round 1 counted in the manifest.
 func TestServeQualityDeterministicAcrossParallelism(t *testing.T) {
 	run := func(workers string) (qBody, dBody string) {
 		t.Helper()
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
-		ready := make(chan *telemetry.Server, 1)
-		serveReady = func(s *telemetry.Server) { ready <- s }
-		defer func() { serveReady = nil }()
-		errc := make(chan error, 1)
+		manifest := filepath.Join(t.TempDir(), "serve.manifest.json")
 		// -rounds 2 with a long -interval: after the first round the loop
-		// parks in the inter-round pause, freezing the scoreboard at
-		// rotation 1 so both runs are scraped in an identical state.
-		go func() {
-			errc <- runServe(ctx, []string{
-				"-scale", "0.01", "-perclass", "1", "-windows", "8",
-				"-rounds", "2", "-interval", "120s",
-				"-parallel", workers, "-quiet"})
-		}()
-		var srv *telemetry.Server
-		select {
-		case srv = <-ready:
-		case err := <-errc:
-			t.Fatalf("serve exited early: %v", err)
-		case <-time.After(120 * time.Second):
-			t.Fatal("serve never ready")
-		}
-		// Let the bounded run finish, then scrape before shutdown: poll
-		// until rotations reaches the round count.
-		deadline := time.Now().Add(180 * time.Second)
-		for {
-			resp, err := http.Get(srv.URL() + "/api/v1/quality")
+		// parks in the inter-round pause, freezing the replay tenant after
+		// its first 6 × 1 × 8 windows so both runs are read in one state.
+		srv, errc := startServe(t, ctx, []string{
+			"-scale", "0.01", "-perclass", "1", "-windows", "8",
+			"-rounds", "2", "-interval", "120s",
+			"-parallel", workers, "-manifest", manifest, "-quiet"})
+		get := func(path string) string {
+			t.Helper()
+			resp, err := http.Get(srv.URL() + path)
 			if err != nil {
 				t.Fatal(err)
 			}
 			body, _ := io.ReadAll(resp.Body)
 			resp.Body.Close()
-			var q struct {
-				Rotations int64 `json:"rotations"`
+			if resp.StatusCode != 200 {
+				t.Fatalf("GET %s = %d %s", path, resp.StatusCode, body)
 			}
-			if resp.StatusCode == 200 && json.Unmarshal(body, &q) == nil && q.Rotations >= 1 {
-				qBody = string(body)
+			return string(body)
+		}
+		const replayed = 6 * 1 * 8
+		deadline := time.Now().Add(180 * time.Second)
+		for {
+			var ts ingest.TenantSummary
+			if err := json.Unmarshal([]byte(get("/api/v1/tenants/"+ingest.ReplayTenant)), &ts); err != nil {
+				t.Fatal(err)
+			}
+			if ts.WindowsProcessed >= replayed {
 				break
 			}
 			if time.Now().After(deadline) {
-				t.Fatal("quality window never rotated")
+				t.Fatalf("replay tenant never drained round 1: %+v", ts)
 			}
 			time.Sleep(50 * time.Millisecond)
 		}
-		resp, err := http.Get(srv.URL() + "/api/v1/drift")
+		qBody, dBody = get("/api/v1/quality"), get("/api/v1/drift")
+		var q quality.QualitySnapshot
+		if err := json.Unmarshal([]byte(qBody), &q); err != nil || q.Observed != replayed {
+			t.Fatalf("/api/v1/quality observed %d of %d replayed windows (err %v)", q.Observed, replayed, err)
+		}
+		if got := get("/api/v1/tenants/" + ingest.ReplayTenant + "/quality"); got != qBody {
+			t.Errorf("/api/v1/quality is not the replay tenant's:\n%s\n--- tenant ---\n%s", qBody, got)
+		}
+		if got := get("/api/v1/tenants/" + ingest.ReplayTenant + "/drift"); got != dBody {
+			t.Errorf("/api/v1/drift is not the replay tenant's:\n%s\n--- tenant ---\n%s", dBody, got)
+		}
+		var st ingest.Stats
+		if err := json.Unmarshal([]byte(get("/api/v1/ingest")), &st); err != nil || st.WindowsProcessed != replayed {
+			t.Errorf("/api/v1/ingest processed %d windows, want %d (err %v)", st.WindowsProcessed, replayed, err)
+		}
+		resp, err := http.Post(srv.URL()+"/api/v1/ingest?tenant="+ingest.ReplayTenant,
+			"application/json", strings.NewReader(`{"windows":[{"values":[1]}]}`))
 		if err != nil {
 			t.Fatal(err)
 		}
-		body, _ := io.ReadAll(resp.Body)
+		var env httpapi.ErrorEnvelope
+		json.NewDecoder(resp.Body).Decode(&env)
 		resp.Body.Close()
-		dBody = string(body)
+		if resp.StatusCode != http.StatusBadRequest || env.Error.Code != httpapi.CodeBadRequest {
+			t.Errorf("POST to the replay tenant = %d %+v, want 400 bad_request", resp.StatusCode, env)
+		}
+
 		cancel()
 		select {
 		case err := <-errc:
@@ -416,6 +464,15 @@ func TestServeQualityDeterministicAcrossParallelism(t *testing.T) {
 			}
 		case <-time.After(120 * time.Second):
 			t.Fatal("serve did not exit")
+		}
+		raw, err := os.ReadFile(manifest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var man obs.Manifest
+		if err := json.Unmarshal(raw, &man); err != nil || man.Config["rounds"] != "1" {
+			t.Errorf("manifest rounds = %q after a signal in the pause after round 1, want \"1\" (err %v)",
+				man.Config["rounds"], err)
 		}
 		return qBody, dBody
 	}
@@ -439,7 +496,7 @@ func TestServeHistoricalObservability(t *testing.T) {
 	dir := t.TempDir()
 	rulesPath := filepath.Join(dir, "rules.json")
 	if err := os.WriteFile(rulesPath, []byte(`[
-		{"name": "replay-started", "metric": "online.monitors", "op": ">", "threshold": 0,
+		{"name": "replay-started", "metric": "ingest.windows_processed", "op": ">", "threshold": 0,
 		 "severity": "info", "msg": "traces are being monitored"}
 	]`), 0o644); err != nil {
 		t.Fatal(err)

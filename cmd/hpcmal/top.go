@@ -55,7 +55,7 @@ var topPanels = []struct {
 	agg    string
 }{
 	{"windows/s", "trace.windows_simulated", "rate"},
-	{"alarms/s", "online.alarms", "rate"},
+	{"alarms/s", "ingest.alarms", "rate"},
 	{"F1", "quality.f1", "avg"},
 	{"drifting", "drift.features_drifting", "max"},
 	{"bus drops/s", "obs.events_dropped", "rate"},

@@ -1,16 +1,16 @@
 // Package flightrec is the black-box flight recorder of the observability
-// stack: a bounded in-memory ring of the most recent monitored windows,
-// predictions, and bus events, plus a metrics snapshot, dumped as one
-// self-contained incident JSON file the moment something goes wrong — an
-// alarm, a firing alert rule, or a panic.
+// stack: a bounded in-memory ring of the most recent bus events, plus a
+// metrics snapshot, dumped as one self-contained incident JSON file the
+// moment something goes wrong — an alarm, a firing alert rule, or a
+// panic.
 //
 // The point is post-hoc forensics without infinite logging: when a
 // hardware malware detector raises an alarm (or quietly decays until an
-// alert fires), the operator gets the exact feature vectors, verdicts and
-// event sequence leading up to the trigger, stamped with the build and
-// run manifest that produced them, in a single file that reproduces the
-// moment. Recording costs two mutex-guarded ring writes per window, so it
-// stays on in production.
+// alert fires), the operator gets the event sequence and metric history
+// leading up to the trigger, stamped with the build and run manifest that
+// produced them, in a single file that reproduces the moment. Recording
+// costs one mutex-guarded ring write per event, so it stays on in
+// production.
 package flightrec
 
 import (
@@ -35,20 +35,6 @@ const (
 	SuppressedMetric = "flightrec.suppressed"
 )
 
-// WindowRecord is one monitored window as the recorder saw it.
-type WindowRecord struct {
-	TimeUnixMS int64  `json:"t_ms"`
-	Sample     string `json:"sample,omitempty"`
-	Class      string `json:"class,omitempty"`
-	Window     int    `json:"window"`
-	Predicted  int    `json:"predicted"`
-	// Score is the model's malware probability when available, else the
-	// 0/1 verdict.
-	Score float64 `json:"score"`
-	// Values is the window's HPC feature vector.
-	Values []float64 `json:"values,omitempty"`
-}
-
 // Incident is the dump payload: everything the recorder held when the
 // trigger hit.
 type Incident struct {
@@ -59,9 +45,8 @@ type Incident struct {
 	Build      *obs.BuildInfo `json:"build,omitempty"`
 	// Manifest is the serving run's manifest (model provenance, baseline,
 	// config), embedded so the dump is self-contained.
-	Manifest *obs.Manifest  `json:"manifest,omitempty"`
-	Windows  []WindowRecord `json:"windows"`
-	Events   []obs.Event    `json:"events"`
+	Manifest *obs.Manifest `json:"manifest,omitempty"`
+	Events   []obs.Event   `json:"events"`
 	// Metrics is the full registry snapshot at dump time.
 	Metrics obs.Snapshot `json:"metrics"`
 	// History is the recent metric history leading up to the trigger
@@ -83,9 +68,8 @@ type Incident struct {
 
 // Ring depths and dump limits.
 const (
-	// windowDepth and eventDepth bound the rings.
-	windowDepth = 256
-	eventDepth  = 128
+	// eventDepth bounds the event ring.
+	eventDepth = 128
 	// dumpCooldown suppresses automatic dumps closer together than
 	// this, so an alarm storm produces one incident, not hundreds.
 	dumpCooldown = 10 * time.Second
@@ -124,9 +108,6 @@ type Config struct {
 type Recorder struct {
 	mu         sync.Mutex
 	cfg        Config
-	windows    []WindowRecord
-	wNext      int
-	wFull      bool
 	events     []obs.Event
 	eNext      int
 	eFull      bool
@@ -144,32 +125,12 @@ func New(cfg Config) *Recorder {
 		cfg.Registry = obs.DefaultRegistry
 	}
 	r := &Recorder{
-		cfg:     cfg,
-		windows: make([]WindowRecord, windowDepth),
-		events:  make([]obs.Event, eventDepth),
+		cfg:    cfg,
+		events: make([]obs.Event, eventDepth),
 	}
 	r.mIncident = cfg.Registry.Counter(IncidentsMetric)
 	r.mSuppress = cfg.Registry.Counter(SuppressedMetric)
 	return r
-}
-
-// RecordWindow adds one monitored window to the ring. Values is copied,
-// so callers may reuse their buffer.
-func (r *Recorder) RecordWindow(w WindowRecord) {
-	if r == nil {
-		return
-	}
-	if w.TimeUnixMS == 0 {
-		w.TimeUnixMS = time.Now().UnixMilli()
-	}
-	w.Values = append([]float64(nil), w.Values...)
-	r.mu.Lock()
-	r.windows[r.wNext] = w
-	r.wNext = (r.wNext + 1) % len(r.windows)
-	if r.wNext == 0 {
-		r.wFull = true
-	}
-	r.mu.Unlock()
 }
 
 // RecordEvent adds one bus event to the ring.
@@ -196,7 +157,7 @@ func ringSlice[T any](buf []T, next int, full bool) []T {
 	return append(out, buf[:next]...)
 }
 
-// Snapshot freezes the recorder's current rings (oldest-first) without
+// Snapshot freezes the recorder's current ring (oldest-first) without
 // writing anything — the /debug/flightrecorder payload.
 func (r *Recorder) Snapshot() Incident {
 	if r == nil {
@@ -208,7 +169,6 @@ func (r *Recorder) Snapshot() Incident {
 		Seq:        r.seq,
 		TimeUnixMS: time.Now().UnixMilli(),
 		Manifest:   r.cfg.Manifest,
-		Windows:    ringSlice(r.windows, r.wNext, r.wFull),
 		Events:     ringSlice(r.events, r.eNext, r.eFull),
 	}
 	r.mu.Unlock()
@@ -245,7 +205,6 @@ func (r *Recorder) Dump(reason string) (string, error) {
 		Seq:        seq,
 		TimeUnixMS: time.Now().UnixMilli(),
 		Manifest:   r.cfg.Manifest,
-		Windows:    ringSlice(r.windows, r.wNext, r.wFull),
 		Events:     ringSlice(r.events, r.eNext, r.eFull),
 		Stack:      r.panicStack,
 	}

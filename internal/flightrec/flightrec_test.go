@@ -26,13 +26,6 @@ func testRecorder(t *testing.T, cfg Config) *Recorder {
 func TestRecorderRingAndDump(t *testing.T) {
 	dir := t.TempDir()
 	r := testRecorder(t, Config{Dir: dir})
-	// Overfill the window ring by two: only the newest windowDepth
-	// survive, oldest-first.
-	last := windowDepth + 1
-	for i := 0; i <= last; i++ {
-		r.RecordWindow(WindowRecord{Window: i, Predicted: i % 2, Score: float64(i) / 10,
-			Sample: "rootkit_001", Values: []float64{float64(i), 2}})
-	}
 	r.RecordEvent(obs.Event{Type: "window", Window: 4})
 	r.RecordEvent(obs.Event{Type: "alarm", Window: 5})
 	for i := 0; i < eventDepth-1; i++ {
@@ -57,29 +50,12 @@ func TestRecorderRingAndDump(t *testing.T) {
 	if inc.Reason != "alarm" || inc.Seq != 1 || inc.TimeUnixMS == 0 {
 		t.Fatalf("incident header = %+v", inc)
 	}
-	if len(inc.Windows) != windowDepth || inc.Windows[0].Window != 2 ||
-		inc.Windows[windowDepth-1].Window != last {
-		t.Fatalf("windows = %+v, want [2 .. %d]", inc.Windows, last)
-	}
 	if len(inc.Events) != eventDepth || inc.Events[0].Type != "alarm" ||
 		inc.Events[eventDepth-1].Type != "drift" {
 		t.Fatalf("events = %+v", inc.Events)
 	}
 	if inc.Build == nil || inc.Build.GoVersion == "" {
 		t.Fatal("build info missing from incident")
-	}
-	if inc.Windows[0].Values[0] != 2 {
-		t.Fatalf("window values = %v", inc.Windows[0].Values)
-	}
-}
-
-func TestRecordWindowCopiesValues(t *testing.T) {
-	r := testRecorder(t, Config{})
-	buf := []float64{1, 2, 3}
-	r.RecordWindow(WindowRecord{Window: 0, Values: buf})
-	buf[0] = 99 // caller reuses its buffer
-	if got := r.Snapshot().Windows[0].Values[0]; got != 1 {
-		t.Fatalf("recorded value mutated to %v; Values not copied", got)
 	}
 }
 
@@ -123,7 +99,6 @@ func TestDumpWithoutDir(t *testing.T) {
 
 func TestNilRecorderInert(t *testing.T) {
 	var r *Recorder
-	r.RecordWindow(WindowRecord{Window: 1})
 	r.RecordEvent(obs.Event{Type: "alarm"})
 	if p := r.TryDump("alarm"); p != "" {
 		t.Fatal("nil recorder dumped")
@@ -131,7 +106,7 @@ func TestNilRecorderInert(t *testing.T) {
 	if _, err := r.Dump("alarm"); err == nil {
 		t.Fatal("nil recorder Dump did not error")
 	}
-	if snap := r.Snapshot(); len(snap.Windows) != 0 {
+	if snap := r.Snapshot(); len(snap.Events) != 0 {
 		t.Fatal("nil recorder snapshot not empty")
 	}
 	r.Watch(context.Background(), nil) // returns immediately
@@ -189,7 +164,7 @@ func TestWatchDumpsOnTrigger(t *testing.T) {
 func TestDumpOnPanic(t *testing.T) {
 	dir := t.TempDir()
 	r := testRecorder(t, Config{Dir: dir})
-	r.RecordWindow(WindowRecord{Window: 7})
+	r.RecordEvent(obs.Event{Type: "alarm", Window: 7})
 	func() {
 		defer func() {
 			if recover() == nil {
@@ -212,8 +187,8 @@ func TestDumpOnPanic(t *testing.T) {
 		!strings.Contains(inc.Stack, "goroutine") {
 		t.Fatalf("panic stack missing: %q", inc.Stack)
 	}
-	if len(inc.Windows) != 1 || inc.Windows[0].Window != 7 {
-		t.Fatalf("panic incident windows = %+v", inc.Windows)
+	if len(inc.Events) != 1 || inc.Events[0].Window != 7 {
+		t.Fatalf("panic incident events = %+v", inc.Events)
 	}
 }
 

@@ -69,13 +69,13 @@ func (s *Service) handleTenant(w http.ResponseWriter, r *http.Request, rest stri
 	}
 	switch sub {
 	case "":
-		t := s.lookupTenant(id)
-		if t == nil {
+		sum, ok := s.Tenant(id)
+		if !ok {
 			httpapi.Errorf(w, http.StatusNotFound, httpapi.CodeNotFound,
 				"unknown tenant: %s", id)
 			return
 		}
-		httpapi.WriteJSON(w, t.summary(s.cfg.QueueCap))
+		httpapi.WriteJSON(w, sum)
 	case "quality":
 		snap, ok := s.TenantQuality(id)
 		if !ok {
@@ -146,6 +146,11 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 		httpapi.Errorf(w, http.StatusBadRequest, httpapi.CodeBadRequest,
 			"missing or invalid tenant id %q (set %s, ?tenant=, or batch.tenant; [A-Za-z0-9._-]{1,64})",
 			tenantID, TenantHeader)
+		return
+	}
+	if tenantID == ReplayTenant {
+		httpapi.Errorf(w, http.StatusBadRequest, httpapi.CodeBadRequest,
+			"tenant id %q is reserved for the daemon's own replay", tenantID)
 		return
 	}
 	switch batch.Overflow {

@@ -53,6 +53,13 @@ import (
 // Sample is the endpoint id, Class the tenant id, Value the window score.
 const EventAlarm = "ingest_alarm"
 
+// ReplayTenant is the tenant reserved for an embedder's own labeled
+// replay (`hpcmal serve` enqueues its replayed traces here in process).
+// Its scoreboard and drift detector export onto the service's Registry
+// and Bus, so their quality.* and drift.* series are the fleet-level
+// ones, and HTTP clients may not post to it.
+const ReplayTenant = "replay"
+
 // Registry metric names exported by the service (fleet-level aggregates;
 // per-tenant instruments stay on a private registry so the /metrics
 // surface does not grow with tenant count).
@@ -443,16 +450,20 @@ func (s *Service) getTenant(id string) (*tenant, error) {
 	if len(s.tenants) >= maxTenants {
 		return nil, &TenantLimitError{Limit: maxTenants}
 	}
+	reg, bus := s.tenantReg, s.tenantBus
+	if id == ReplayTenant {
+		reg, bus = s.cfg.Registry, s.cfg.Bus
+	}
 	t = &tenant{
 		id:        id,
 		shard:     s.shardFor(id),
 		queue:     make([]queuedWindow, s.cfg.QueueCap),
-		board:     quality.NewScoreboard(quality.Config{Registry: s.tenantReg}),
+		board:     quality.NewScoreboard(quality.Config{Registry: reg}),
 		endpoints: make(map[string]*endpointState),
 	}
 	if s.cfg.Baseline != nil {
 		d, err := quality.NewDriftDetector(s.cfg.Baseline,
-			quality.DriftConfig{Registry: s.tenantReg, Bus: s.tenantBus})
+			quality.DriftConfig{Registry: reg, Bus: bus})
 		if err != nil {
 			return nil, fmt.Errorf("ingest: tenant %s drift detector: %w", id, err)
 		}
@@ -478,12 +489,20 @@ type Accepted struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
-// Enqueue validates nothing (the HTTP layer does) and queues ws on the
-// tenant's pipeline under its overflow policy. overflow "" keeps the
-// tenant's current policy. It returns a *QueueFullError when the tenant
-// queue cannot take the batch under the reject policy, a
-// *TenantLimitError for one tenant too many, or ErrStopped after the
-// service's context ended.
+// AddTenant creates the tenant's pipeline now instead of at its first
+// batch, so its quality and drift instruments exist before traffic does.
+func (s *Service) AddTenant(id string) error {
+	_, err := s.getTenant(id)
+	return err
+}
+
+// Enqueue queues ws on the tenant's pipeline under its overflow policy.
+// overflow "" keeps the tenant's current policy. It checks only each
+// window's dimension (the HTTP layer validates the rest of the wire
+// schema) and rejects the whole batch when one window has the wrong
+// length. It returns a *QueueFullError when the tenant queue cannot take
+// the batch under the reject policy, a *TenantLimitError for one tenant
+// too many, or ErrStopped after the service's context ended.
 func (s *Service) Enqueue(tenantID, overflow string, ws []Window) (Accepted, error) {
 	return s.EnqueueTraced(tenantID, overflow, ws, nil)
 }
@@ -496,6 +515,13 @@ func (s *Service) Enqueue(tenantID, overflow string, ws []Window) (Accepted, err
 func (s *Service) EnqueueTraced(tenantID, overflow string, ws []Window, at *obs.ActiveTrace) (Accepted, error) {
 	if s.started.Load() && s.ctx.Err() != nil {
 		return Accepted{}, ErrStopped
+	}
+	// A window of the wrong length would fail its whole drain chunk.
+	for i := range ws {
+		if len(ws[i].Values) != s.dim {
+			return Accepted{}, fmt.Errorf("ingest: window %d has %d features, detector expects %d",
+				i, len(ws[i].Values), s.dim)
+		}
 	}
 	// The enqueue stage starts before the tenant lookup: a tenant's first
 	// batch allocates its queue and detectors there, and that time must
@@ -943,6 +969,15 @@ func (s *Service) Tenants() []TenantSummary {
 		out = append(out, t.summary(s.cfg.QueueCap))
 	}
 	return out
+}
+
+// Tenant returns one tenant's summary (false when the tenant is unknown).
+func (s *Service) Tenant(id string) (TenantSummary, bool) {
+	t := s.lookupTenant(id)
+	if t == nil {
+		return TenantSummary{}, false
+	}
+	return t.summary(s.cfg.QueueCap), true
 }
 
 // lookupTenant returns the tenant or nil.

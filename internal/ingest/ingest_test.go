@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"repro/internal/httpapi"
+	"repro/internal/ml/mltest"
+	"repro/internal/ml/tree"
 	"repro/internal/obs"
 	"repro/internal/quality"
 )
@@ -509,5 +511,107 @@ func TestAlarmRisingEdge(t *testing.T) {
 	}
 	if st := s.Stats(); st.Alarms != 1 {
 		t.Fatalf("alarms = %d, want 1 (rising edge only)", st.Alarms)
+	}
+}
+
+// TestEnqueueRejectsWrongDimension: an in-process batch holding one
+// window of the wrong length is refused whole. Queued, it would fail
+// its drain chunk's compiled predict, lose the good windows with it and
+// leave the queued count above zero for good.
+func TestEnqueueRejectsWrongDimension(t *testing.T) {
+	x, y := mltest.TwoBlobs(3, 200)
+	j := tree.NewJ48()
+	if err := j.Train(x, y, 2); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{Classifier: j, Events: []string{"e0", "e1"},
+		Registry: obs.NewRegistry(), Bus: obs.NewBus()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s.Start(ctx)
+
+	good := Window{Endpoint: "ep", Values: []float64{4, 4}}
+	bad := Window{Endpoint: "ep", Values: []float64{4}}
+	if _, err := s.Enqueue("acme", "", []Window{good, bad}); err == nil ||
+		!strings.Contains(err.Error(), "window 1 has 1 features") {
+		t.Fatalf("Enqueue(good, 1-feature) err = %v", err)
+	}
+	if st := s.Stats(); st.Queued != 0 || st.WindowsIngested != 0 || st.BatchesIngested != 0 {
+		t.Fatalf("rejected batch left state behind: %+v", st)
+	}
+	if _, err := s.Enqueue("acme", "", []Window{good}); err != nil {
+		t.Fatal(err)
+	}
+	waitDrained(t, s)
+	if st := s.Stats(); st.WindowsProcessed != 1 || st.MalwareWindows != 1 {
+		t.Fatalf("stats after the good batch = %+v", st)
+	}
+}
+
+// TestReplayTenant: the reserved replay tenant takes in-process windows
+// but no HTTP posts, answers on the read API, and exports its scoreboard
+// and drift detector onto the service's own registry and bus, where the
+// other tenants' stay private.
+func TestReplayTenant(t *testing.T) {
+	base, err := quality.CaptureBaseline([]string{"e0", "e1", "e2", "e3"},
+		[][]float64{{0, 0, 0, 0}, {1, 1, 1, 1}}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	s, err := New(testConfig(t, func(c *Config) {
+		c.Baseline = base
+		c.Registry = reg
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.AddTenant(ReplayTenant); err != nil {
+		t.Fatal(err)
+	}
+	snap := reg.Snapshot()
+	for _, g := range []string{quality.F1Metric, quality.DriftingMetric} {
+		if _, ok := snap.Gauges[g]; !ok {
+			t.Fatalf("gauge %s not on the service registry: %v", g, snap.Gauges)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	s.Start(ctx)
+	h := s.Handler()
+
+	rec := postBatch(t, h, ReplayTenant, Batch{Windows: []Window{win("e", 1)}})
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("POST to %s = %d %s", ReplayTenant, rec.Code, rec.Body.String())
+	}
+	if env := decodeErr(t, rec); env.Error.Code != httpapi.CodeBadRequest ||
+		!strings.Contains(env.Error.Message, "reserved") {
+		t.Fatalf("envelope = %+v", env)
+	}
+	if _, err := s.Enqueue(ReplayTenant, "", []Window{win("e", 1), win("e", 0)}); err != nil {
+		t.Fatal(err)
+	}
+	if rec := postBatch(t, h, "acme", Batch{Windows: []Window{win("e", 1)}}); rec.Code != http.StatusAccepted {
+		t.Fatalf("POST to acme = %d", rec.Code)
+	}
+	waitDrained(t, s)
+
+	get := httptest.NewRecorder()
+	h.ServeHTTP(get, httptest.NewRequest(http.MethodGet, "/api/v1/tenants/"+ReplayTenant, nil))
+	var sum TenantSummary
+	if err := json.Unmarshal(get.Body.Bytes(), &sum); err != nil || get.Code != 200 ||
+		sum.ID != ReplayTenant || sum.WindowsProcessed != 2 {
+		t.Fatalf("GET replay tenant = %d %s", get.Code, get.Body.String())
+	}
+	// Only the replay's two labeled windows reach the service registry.
+	snap = reg.Snapshot()
+	if got := snap.Counters[quality.ObservationsMetric]; got != 2 {
+		t.Fatalf("%s = %d, want 2", quality.ObservationsMetric, got)
+	}
+	if got := snap.Counters[quality.DriftObservedMetric]; got != 2 {
+		t.Fatalf("%s = %d, want 2", quality.DriftObservedMetric, got)
 	}
 }

@@ -1,17 +1,15 @@
 // Package online turns the per-window classifiers into run-time malware
 // detectors: predictions over consecutive 10 ms HPC samples are smoothed
-// by a sliding-window majority vote or an exponentially weighted moving
-// average before raising an alarm. This is the "online detection" setting
-// of Demme et al. (ISCA'13) and Ozsoy et al. (HPCA'15) that the thesis's
-// related work and future work discuss: a single noisy window should not
-// trigger, but sustained malicious behaviour should — quickly.
+// by a sliding-window majority vote before raising an alarm. This is the
+// "online detection" setting of Demme et al. (ISCA'13) and Ozsoy et al.
+// (HPCA'15) that the thesis's related work and future work discuss: a
+// single noisy window should not trigger, but sustained malicious
+// behaviour should — quickly.
 package online
 
 import (
-	"context"
 	"errors"
 	"fmt"
-	"time"
 
 	"repro/internal/infer"
 	"repro/internal/ml"
@@ -113,43 +111,6 @@ func (m *MajorityVoter) Reset() {
 	m.pos, m.n, m.sum = 0, 0, 0
 }
 
-// EWMA alarms when the exponentially weighted malware-verdict average
-// exceeds Threshold.
-type EWMA struct {
-	// Alpha is the smoothing factor in (0,1] (default 0.25).
-	Alpha float64
-	// Threshold is the alarm level (default 0.6).
-	Threshold float64
-
-	state float64
-}
-
-// Name implements Smoother.
-func (e *EWMA) Name() string { return "EWMA" }
-
-func (e *EWMA) init() {
-	if e.Alpha <= 0 || e.Alpha > 1 {
-		e.Alpha = 0.25
-	}
-	if e.Threshold <= 0 || e.Threshold >= 1 {
-		e.Threshold = 0.6
-	}
-}
-
-// Observe implements Smoother.
-func (e *EWMA) Observe(pred int) bool {
-	e.init()
-	v := 0.0
-	if pred != 0 {
-		v = 1
-	}
-	e.state = e.Alpha*v + (1-e.Alpha)*e.state
-	return e.state > e.Threshold
-}
-
-// Reset implements Smoother.
-func (e *EWMA) Reset() { e.state = 0 }
-
 // Result is the outcome of monitoring one trace.
 type Result struct {
 	// Detected reports whether the alarm fired at any window.
@@ -161,26 +122,6 @@ type Result struct {
 	LatencySeconds float64
 }
 
-// WindowObservation is one classified window as a window observer sees
-// it — the hook the model-quality layer (scoreboard, drift detector,
-// flight recorder) builds on.
-type WindowObservation struct {
-	Sample string
-	Class  string
-	// Window is the 0-based index within the trace.
-	Window int
-	// Pred is the raw per-window verdict (1 = malware).
-	Pred int
-	// Score is the model's malware-class probability when the classifier
-	// exposes probabilities (compiled or interpreted), else the 0/1
-	// verdict — calibration degrades but confusion metrics stay exact.
-	Score float64
-	// Values is the window's HPC feature vector. It aliases the monitor
-	// loop's reuse buffer and is only valid for the duration of the call:
-	// observers that keep it must copy.
-	Values []float64
-}
-
 // options collects the Monitor/MonitorAll configuration. Smoothers are
 // stateful, so the option carries a factory: every monitored trace gets
 // its own instance, which is what makes MonitorAll safe to fan out.
@@ -188,9 +129,6 @@ type options struct {
 	smoother     func() Smoother
 	samplePeriod float64
 	parallelism  int
-	ctx          context.Context
-	observer     func(WindowObservation)
-	reqTracer    *obs.ReqTracer
 }
 
 // Option configures Monitor and MonitorAll.
@@ -214,33 +152,6 @@ func WithSamplePeriod(seconds float64) Option {
 // process-wide default; 1 forces the serial path. Monitor ignores it.
 func WithParallelism(n int) Option {
 	return func(o *options) { o.parallelism = n }
-}
-
-// WithWindowObserver installs fn, called once per classified window with
-// the window's verdict, score and feature vector. MonitorAll invokes it
-// from its worker goroutines, so fn must be safe for concurrent use; the
-// Values slice is only valid during the call. Per-window probability
-// lookup only happens when an observer is installed, so monitoring
-// without one costs nothing extra.
-func WithWindowObserver(fn func(WindowObservation)) Option {
-	return func(o *options) { o.observer = fn }
-}
-
-// WithReqTracer records one request trace per monitored program replay
-// (head-sampled by the tracer's default ratio): a "replay.monitor" root
-// whose span carries the window and alarm counts, tail-kept when the
-// replay raised an alarm. nil (the default) traces nothing and adds no
-// per-window work.
-func WithReqTracer(rt *obs.ReqTracer) Option {
-	return func(o *options) { o.reqTracer = rt }
-}
-
-// WithContext cancels MonitorAll early when ctx is done: traces not yet
-// claimed by a worker are skipped and the context error is returned.
-// This is how `hpcmal serve` propagates SIGINT/SIGTERM into in-flight
-// monitoring rounds.
-func WithContext(ctx context.Context) Option {
-	return func(o *options) { o.ctx = ctx }
 }
 
 func buildOptions(opts []Option) (options, error) {
@@ -314,23 +225,10 @@ func MonitorAll(clf ml.Classifier, traces []*trace.Trace, opts ...Option) ([]*Re
 		return nil, err
 	}
 	return parallel.Map(
-		parallel.Options{Name: "online.monitor", Workers: o.parallelism, Context: o.ctx},
+		parallel.Options{Name: "online.monitor", Workers: o.parallelism},
 		len(traces), func(i int) (*Result, error) {
 			return monitor(clf, prog, traces[i], o)
 		})
-}
-
-// malwareScore reduces a class-probability vector to the observer's
-// score: the malware (class 1) probability for binary models, the
-// predicted class's probability otherwise.
-func malwareScore(p []float64, pred int) float64 {
-	if len(p) == 2 {
-		return p[1]
-	}
-	if pred >= 0 && pred < len(p) {
-		return p[pred]
-	}
-	return float64(pred)
 }
 
 func monitor(clf ml.Classifier, prog *infer.Program, tr *trace.Trace, o options) (*Result, error) {
@@ -345,34 +243,11 @@ func monitor(clf ml.Classifier, prog *infer.Program, tr *trace.Trace, o options)
 	mMonitors.Inc()
 	bus := obs.DefaultBus
 	res := &Result{Window: -1}
-	// Head-sample one request trace per replayed program: the whole
-	// replay becomes a root with a single classification span, so slow or
-	// alarm-raising replays show up on /api/v1/traces next to ingest
-	// traffic. Without a tracer this path adds nothing, not even a clock
-	// read.
-	var at *obs.ActiveTrace
-	var monStartNS int64
-	if o.reqTracer != nil {
-		monStartNS = time.Now().UnixNano()
-		at = o.reqTracer.Sample(obs.TraceContext{}, "replay", tr.SampleName, monStartNS)
-	}
 	// One feature buffer per trace, refilled in place each window,
 	// instead of a fresh Values() slice per 10 ms sample.
 	var vals []float64
 	if len(tr.Records) > 0 {
 		vals = make([]float64, 0, len(tr.Records[0].Readings))
-	}
-	// Probability scratch, allocated once per trace and only when an
-	// observer wants scores.
-	var probaDst, probaX [][]float64
-	var probClf ml.ProbClassifier
-	if o.observer != nil {
-		if prog != nil && prog.HasProba() {
-			probaDst = [][]float64{make([]float64, prog.NumClasses())}
-			probaX = [][]float64{nil}
-		} else if pc, ok := clf.(ml.ProbClassifier); ok {
-			probClf = pc
-		}
 	}
 	for i := range tr.Records {
 		vals = tr.Records[i].AppendValues(vals[:0])
@@ -390,22 +265,6 @@ func monitor(clf ml.Classifier, prog *infer.Program, tr *trace.Trace, o options)
 		// is a single atomic load.
 		bus.Publish(obs.Event{Type: EventWindow, Sample: tr.SampleName,
 			Class: tr.Class.String(), Window: i, Value: float64(pred)})
-		if o.observer != nil {
-			score := float64(pred)
-			if probaX != nil {
-				probaX[0] = vals
-				if err := prog.Proba(probaDst, probaX); err == nil {
-					score = malwareScore(probaDst[0], pred)
-				}
-			} else if probClf != nil {
-				if p := probClf.Proba(vals); len(p) > 0 {
-					score = malwareScore(p, pred)
-				}
-			}
-			o.observer(WindowObservation{Sample: tr.SampleName,
-				Class: tr.Class.String(), Window: i, Pred: pred,
-				Score: score, Values: vals})
-		}
 		if sm.Observe(pred) && !res.Detected {
 			res.Detected = true
 			res.Window = i
@@ -418,26 +277,12 @@ func monitor(clf ml.Classifier, prog *infer.Program, tr *trace.Trace, o options)
 	if res.Detected {
 		mAlarms.Inc()
 		mAlarmLatency.Observe(float64(res.Window + 1))
-		// An alarm-coincident trace is tail-kept: it survives ring
-		// eviction for forensic replay of the verdict.
-		at.Keep("alarm")
 		bus.Publish(obs.Event{Type: EventAlarm, Sample: tr.SampleName,
 			Class: tr.Class.String(), Window: res.Window,
 			Value: res.LatencySeconds})
 		obs.Log().Debug("alarm raised", "sample", tr.SampleName,
 			"class", tr.Class.String(), "window", res.Window,
 			"latency_s", res.LatencySeconds)
-	}
-	if at != nil {
-		endNS := time.Now().UnixNano()
-		detected := 0.0
-		if res.Detected {
-			detected = 1
-		}
-		at.AddSpan("replay.classify", monStartNS, endNS,
-			obs.ReqAttr{Key: "windows", Value: float64(len(tr.Records))},
-			obs.ReqAttr{Key: "detected", Value: detected})
-		at.End(endNS)
 	}
 	return res, nil
 }

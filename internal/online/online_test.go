@@ -1,8 +1,6 @@
 package online
 
 import (
-	"sync"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -54,30 +52,6 @@ func TestMajorityVoterDefaults(t *testing.T) {
 	}
 	if alarmAt != 3 {
 		t.Fatalf("default voter alarmed at vote %d, want 3", alarmAt)
-	}
-}
-
-func TestEWMA(t *testing.T) {
-	e := &EWMA{Alpha: 0.5, Threshold: 0.6}
-	if e.Observe(1) {
-		t.Fatal("one vote should not cross 0.6 at alpha 0.5")
-	}
-	if !e.Observe(1) {
-		t.Fatal("two malware votes (state 0.75) should alarm")
-	}
-	e.Reset()
-	if e.Observe(0) {
-		t.Fatal("reset did not clear state")
-	}
-	// Decay: after an alarm, benign stream calms it down.
-	e.Reset()
-	e.Observe(1)
-	e.Observe(1)
-	for i := 0; i < 5; i++ {
-		e.Observe(0)
-	}
-	if e.Observe(0) {
-		t.Fatal("EWMA did not decay")
 	}
 }
 
@@ -260,82 +234,5 @@ func TestVoterAlarmImpliesVotesProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// probClassifier predicts like constClassifier but also reports
-// probabilities, exercising the observer's score path.
-type probClassifier struct{ p float64 }
-
-func (c probClassifier) Name() string                        { return "prob" }
-func (c probClassifier) Train([][]float64, []int, int) error { return nil }
-func (c probClassifier) Predict([]float64) int {
-	if c.p >= 0.5 {
-		return 1
-	}
-	return 0
-}
-func (c probClassifier) Proba([]float64) []float64 { return []float64{1 - c.p, c.p} }
-
-var _ ml.ProbClassifier = probClassifier{}
-
-func TestWindowObserver(t *testing.T) {
-	tr := collectTrace(t, workload.Worm, 6)
-	var mu sync.Mutex
-	var seen []WindowObservation
-	_, err := Monitor(probClassifier{p: 0.9}, tr,
-		WithSmoother(func() Smoother { return &MajorityVoter{Window: 100, Threshold: 1} }),
-		WithWindowObserver(func(o WindowObservation) {
-			o.Values = append([]float64(nil), o.Values...) // contract: copy
-			mu.Lock()
-			seen = append(seen, o)
-			mu.Unlock()
-		}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 6 {
-		t.Fatalf("observer saw %d windows, want 6", len(seen))
-	}
-	for i, o := range seen {
-		if o.Window != i || o.Pred != 1 || o.Score != 0.9 {
-			t.Fatalf("observation %d = %+v", i, o)
-		}
-		if o.Sample != tr.SampleName || len(o.Values) == 0 {
-			t.Fatalf("observation %d missing identity/values: %+v", i, o)
-		}
-	}
-
-	// Without probabilities the score degrades to the 0/1 verdict.
-	seen = nil
-	if _, err := Monitor(constClassifier(1), tr,
-		WithSmoother(func() Smoother { return &MajorityVoter{Window: 100, Threshold: 1} }),
-		WithWindowObserver(func(o WindowObservation) {
-			mu.Lock()
-			seen = append(seen, o)
-			mu.Unlock()
-		})); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != 6 || seen[0].Score != 1 {
-		t.Fatalf("verdict-score fallback = %+v", seen)
-	}
-}
-
-// TestWindowObserverConcurrent pins that MonitorAll delivers every
-// window to the observer across workers under the race detector.
-func TestWindowObserverConcurrent(t *testing.T) {
-	traces := make([]*trace.Trace, 6)
-	for i := range traces {
-		traces[i] = collectTrace(t, workload.Worm, 5)
-	}
-	var n atomic.Int64
-	if _, err := MonitorAll(probClassifier{p: 0.2}, traces,
-		WithParallelism(4),
-		WithWindowObserver(func(o WindowObservation) { n.Add(1) })); err != nil {
-		t.Fatal(err)
-	}
-	if n.Load() != 30 {
-		t.Fatalf("observer called %d times, want 30", n.Load())
 	}
 }

@@ -20,9 +20,9 @@
 // Both accumulate into an epoch ring: Observe adds commutative counts to
 // the current epoch and Advance rotates the ring, so the sliding window
 // is the aggregate of the last epochs rotations. Because every update is
-// a commutative sum, concurrent observers (the parallel monitoring pool)
-// produce bit-identical snapshots at any worker count and completion
-// order — the same determinism contract the rest of the pipeline keeps.
+// a commutative sum, concurrent observers produce bit-identical snapshots
+// at any worker count and completion order — the same determinism
+// contract the rest of the pipeline keeps.
 //
 // The need for this layer is the central lesson of the adversarial HMD
 // literature: Kuruvila et al. show hardware malware detector accuracy
@@ -142,8 +142,7 @@ func (e *epoch) reset() {
 }
 
 // Scoreboard is the streaming detection scoreboard. All methods are safe
-// for concurrent use; Observe is called from the parallel monitoring
-// pool's workers.
+// for concurrent use.
 type Scoreboard struct {
 	mu        sync.Mutex
 	cfg       Config
@@ -220,9 +219,9 @@ func (s *Scoreboard) Observe(actual, predicted int, score float64) {
 }
 
 // Advance rotates the epoch ring, evicting the oldest epoch, and
-// refreshes the exported gauges from the new sliding window. The serve
-// daemon calls it once per replay round; rotation is the only form of
-// eviction, so within-epoch observation order never matters.
+// refreshes the exported gauges from the new sliding window. The ingest
+// service calls it every 4096 windows of a tenant; rotation is the only
+// form of eviction, so within-epoch observation order never matters.
 func (s *Scoreboard) Advance() {
 	s.mu.Lock()
 	s.cur = (s.cur + 1) % len(s.epochs)

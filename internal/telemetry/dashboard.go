@@ -44,7 +44,7 @@ const dashboardHTML = `<!doctype html>
   .ev { display:flex; gap:10px; padding:2px 0; font-size:12px; }
   .ev .t { color:var(--dim); white-space:nowrap; }
   .ev .ty { min-width:110px; }
-  .ev.alarm .ty, .ev.alert .ty { color:var(--bad); }
+  .ev.alarm .ty, .ev.ingest_alarm .ty, .ev.alert .ty { color:var(--bad); }
   .ev.drift .ty { color:var(--warn); }
   .ev.alert_resolved .ty, .ev.drift_resolved .ty { color:var(--ok); }
   .nodata { color:var(--dim); }
@@ -102,7 +102,7 @@ const dashboardHTML = `<!doctype html>
 // aggregations mirror the serve daemon's registry names.
 const PANELS = [
   {name:"windows / sec",    metric:"trace.windows_simulated", agg:"rate", fmt:v=>v.toFixed(1)},
-  {name:"alarms / sec",     metric:"online.alarms",           agg:"rate", fmt:v=>v.toFixed(2)},
+  {name:"alarms / sec",     metric:"ingest.alarms",           agg:"rate", fmt:v=>v.toFixed(2)},
   {name:"F1",               metric:"quality.f1",              agg:"avg",  fmt:v=>v.toFixed(3)},
   {name:"features drifting",metric:"drift.features_drifting", agg:"max",  fmt:v=>v.toFixed(0)},
   {name:"bus drops / sec",  metric:"obs.events_dropped",      agg:"rate", fmt:v=>v.toFixed(2)},
@@ -204,7 +204,7 @@ async function seedTimeline() {
 function follow() {
   // The SSE framing of /events ("data: {json}") is EventSource-native.
   const es = new EventSource("/events?sse=1");
-  const keep = new Set(["alarm","alert","alert_resolved","drift","drift_resolved"]);
+  const keep = new Set(["alarm","ingest_alarm","alert","alert_resolved","drift","drift_resolved"]);
   es.onmessage = m => {
     try {
       const e = JSON.parse(m.data);
