@@ -58,9 +58,12 @@ type kernel interface {
 }
 
 // probaKernel is implemented by kernels whose source model supports
-// ml.ProbClassifier; dst rows are caller-allocated, length NumClasses.
+// ml.ProbClassifier. classify computes each row's class scores once,
+// softmaxes them into proba[i] (caller-allocated, length NumClasses)
+// and, when labels is non-nil, stores their first-max argmax, Predict's
+// label, in labels[i].
 type probaKernel interface {
-	proba(dst [][]float64, X [][]float64, s *scratch)
+	classify(labels []int, proba [][]float64, X [][]float64, s *scratch)
 }
 
 // scratch is the per-batch working memory drawn from the program's pool.
@@ -307,6 +310,30 @@ func (p *Program) checkBatch(n int, X [][]float64) error {
 	return nil
 }
 
+// checkProba validates a probability destination: the program has
+// probabilities, and proba holds one NumClasses-long row per row of X.
+func (p *Program) checkProba(proba [][]float64, X [][]float64) error {
+	if p.pk == nil {
+		return fmt.Errorf("%w: %s", ErrNoProba, p.name)
+	}
+	if err := p.checkBatch(len(proba), X); err != nil {
+		return err
+	}
+	for i := range X {
+		if len(proba[i]) != p.classes {
+			return fmt.Errorf("infer: %s: dst row %d has %d slots, want %d", p.name, i, len(proba[i]), p.classes)
+		}
+	}
+	return nil
+}
+
+// countBatch records one batch of n rows in the infer.* counters.
+func (p *Program) countBatch(n int) {
+	p.rows.Add(int64(n))
+	mRows.Add(int64(n))
+	mBatches.Inc()
+}
+
 // Predict fills dst[i] with the predicted label for X[i]. It allocates
 // nothing in steady state and matches the interpreted Predict of the
 // source classifier bit for bit.
@@ -317,9 +344,7 @@ func (p *Program) Predict(dst []int, X [][]float64) error {
 	s := p.getScratch()
 	p.k.predict(dst[:len(X)], X, s)
 	p.putScratch(s)
-	p.rows.Add(int64(len(X)))
-	mRows.Add(int64(len(X)))
-	mBatches.Inc()
+	p.countBatch(len(X))
 	return nil
 }
 
@@ -346,23 +371,32 @@ func (p *Program) PredictOne(x []float64) (int, error) {
 // class-probability distribution for X[i], bit-identical to the source
 // classifier's Proba. Returns ErrNoProba when unsupported.
 func (p *Program) Proba(dst [][]float64, X [][]float64) error {
-	if p.pk == nil {
-		return fmt.Errorf("%w: %s", ErrNoProba, p.name)
-	}
-	if err := p.checkBatch(len(dst), X); err != nil {
+	if err := p.checkProba(dst, X); err != nil {
 		return err
 	}
-	for i := range X {
-		if len(dst[i]) != p.classes {
-			return fmt.Errorf("infer: %s: dst row %d has %d slots, want %d", p.name, i, len(dst[i]), p.classes)
-		}
+	s := p.getScratch()
+	p.pk.classify(nil, dst[:len(X)], X, s)
+	p.putScratch(s)
+	p.countBatch(len(X))
+	return nil
+}
+
+// Classify is Predict and Proba from one forward pass: it fills dst[i]
+// with X[i]'s label and proba[i] (caller-allocated, length NumClasses)
+// with its class-probability distribution. The labels equal Predict's
+// and the distributions equal Proba's, bit for bit, and the rows count
+// once in the infer.* counters. Returns ErrNoProba when unsupported.
+func (p *Program) Classify(dst []int, proba [][]float64, X [][]float64) error {
+	if err := p.checkProba(proba, X); err != nil {
+		return err
+	}
+	if len(dst) < len(X) {
+		return fmt.Errorf("infer: %s: dst holds %d results but X has %d rows", p.name, len(dst), len(X))
 	}
 	s := p.getScratch()
-	p.pk.proba(dst[:len(X)], X, s)
+	p.pk.classify(dst[:len(X)], proba[:len(X)], X, s)
 	p.putScratch(s)
-	p.rows.Add(int64(len(X)))
-	mRows.Add(int64(len(X)))
-	mBatches.Inc()
+	p.countBatch(len(X))
 	return nil
 }
 

@@ -132,9 +132,63 @@ func TestEquivalence(t *testing.T) {
 						}
 					}
 				}
+
+				// Classify is one pass doing both jobs: Predict's labels and
+				// Proba's bits, also on rows of NaN, ±Inf and zeros.
+				rows := append(ds.x[:len(ds.x):len(ds.x)], specialRows(ds.x[0])...)
+				labels := make([]int, len(rows))
+				probs := newProba(len(rows), ds.numClasses)
+				if err := p.Predict(labels, rows); err != nil {
+					t.Fatalf("predict: %v", err)
+				}
+				if err := p.Proba(probs, rows); err != nil {
+					t.Fatalf("proba: %v", err)
+				}
+				gotL, gotP := make([]int, len(rows)), newProba(len(rows), ds.numClasses)
+				if err := p.Classify(gotL, gotP, rows); err != nil {
+					t.Fatalf("classify: %v", err)
+				}
+				for i, x := range rows {
+					if gotL[i] != labels[i] {
+						t.Fatalf("row %d %v: Classify label %d, Predict %d", i, x, gotL[i], labels[i])
+					}
+					want := pc.Proba(x)
+					for cl := range want {
+						got := math.Float64bits(gotP[i][cl])
+						if got != math.Float64bits(probs[i][cl]) || got != math.Float64bits(want[cl]) {
+							t.Fatalf("row %d %v class %d: Classify proba %v, Proba %v, interpreted %v",
+								i, x, cl, gotP[i][cl], probs[i][cl], want[cl])
+						}
+					}
+				}
 			})
 		}
 	}
+}
+
+// specialRows builds nine rows shaped like x: all NaN, all +Inf, all
+// -Inf and all zero, the same four values in x's first feature alone,
+// and x itself. Nine rows after a dataset whose length is a multiple
+// of four put the last one on the MLP kernel's one-row tail.
+func specialRows(x []float64) [][]float64 {
+	var rows [][]float64
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0} {
+		all := make([]float64, len(x))
+		for j := range all {
+			all[j] = v
+		}
+		one := append([]float64{v}, x[1:]...)
+		rows = append(rows, all, one)
+	}
+	return append(rows, x)
+}
+
+func newProba(n, classes int) [][]float64 {
+	dst := make([][]float64, n)
+	for i := range dst {
+		dst[i] = make([]float64, classes)
+	}
+	return dst
 }
 
 // TestBatchAdapterEquivalence checks the interpreted ml.Batch fallback
@@ -211,6 +265,27 @@ func TestProgramArgChecks(t *testing.T) {
 	if err := p.Proba(dst, x[:1]); !errors.Is(err, ErrNoProba) {
 		t.Fatalf("SVM Proba error = %v, want ErrNoProba", err)
 	}
+	if err := p.Classify(make([]int, 1), dst, x[:1]); !errors.Is(err, ErrNoProba) {
+		t.Fatalf("SVM Classify error = %v, want ErrNoProba", err)
+	}
+
+	lg := linear.NewLogistic()
+	if err := lg.Train(x, y, 2); err != nil {
+		t.Fatal(err)
+	}
+	if p, err = Compile(lg); err != nil {
+		t.Fatal(err)
+	}
+	for name, call := range map[string]func() error{
+		"short labels": func() error { return p.Classify(make([]int, 1), newProba(2, 2), x[:2]) },
+		"short proba":  func() error { return p.Classify(make([]int, 2), newProba(1, 2), x[:2]) },
+		"narrow proba": func() error { return p.Classify(make([]int, 2), newProba(2, 1), x[:2]) },
+		"ragged row":   func() error { return p.Classify(make([]int, 2), newProba(2, 2), [][]float64{{1, 2}, {1}}) },
+	} {
+		if err := call(); err == nil {
+			t.Errorf("Classify accepted %s", name)
+		}
+	}
 }
 
 // TestPredictParallelMatchesSerial checks sharded prediction is
@@ -244,10 +319,12 @@ func TestPredictParallelMatchesSerial(t *testing.T) {
 
 // TestZeroAlloc is the CI gate on the tentpole property: the
 // steady-state compiled predict path allocates nothing, for every
-// classifier, on both the batch and single-instance entry points.
+// classifier, on both the batch and single-instance entry points, and
+// neither do Proba and Classify where the program has probabilities.
 func TestZeroAlloc(t *testing.T) {
 	x, y := mltest.ThreeBlobs(1, 100)
 	dst := make([]int, len(x))
+	proba := newProba(len(x), 3)
 	for name, mk := range factories() {
 		c := mk()
 		if err := c.Train(x, y, 3); err != nil {
@@ -274,6 +351,23 @@ func TestZeroAlloc(t *testing.T) {
 			}
 		}); allocs != 0 {
 			t.Errorf("%s: PredictOne allocs/op = %v, want 0", name, allocs)
+		}
+		if !p.HasProba() {
+			continue
+		}
+		if allocs := testing.AllocsPerRun(20, func() {
+			if err := p.Proba(proba, x); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: Proba allocs/op = %v, want 0", name, allocs)
+		}
+		if allocs := testing.AllocsPerRun(20, func() {
+			if err := p.Classify(dst, proba, x); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%s: Classify allocs/op = %v, want 0", name, allocs)
 		}
 	}
 }

@@ -14,6 +14,7 @@ import (
 	"sort"
 
 	"repro/internal/mat"
+	"repro/internal/ml"
 	"repro/internal/ml/bayes"
 	"repro/internal/ml/mlp"
 	"repro/internal/ml/oner"
@@ -332,30 +333,18 @@ func (k *denseKernel) predict(dst []int, X [][]float64, s *scratch) {
 	}
 }
 
-func (k *denseKernel) proba(dst [][]float64, X [][]float64, s *scratch) {
-	if !k.withProba {
-		panic(ErrNoProba) // unreachable: Program.Proba gates on pk
-	}
+func (k *denseKernel) classify(labels []int, proba [][]float64, X [][]float64, s *scratch) {
 	z := s.z[:k.dim]
 	for r, x := range X {
 		k.standardize(x, z)
-		out := dst[r]
-		maxS := math.Inf(-1)
-		for c := 0; c < k.classes; c++ {
-			sc := k.score(c, z)
-			out[c] = sc
-			if sc > maxS {
-				maxS = sc
-			}
-		}
-		sum := 0.0
+		out := proba[r]
 		for c := range out {
-			out[c] = math.Exp(out[c] - maxS)
-			sum += out[c]
+			out[c] = k.score(c, z)
 		}
-		for c := range out {
-			out[c] /= sum
+		if labels != nil {
+			labels[r] = ml.ArgMax(out) // first max, as predict's running max
 		}
+		softmax(out)
 	}
 }
 
@@ -447,28 +436,39 @@ func (k *bayesKernel) predict(dst []int, X [][]float64, s *scratch) {
 	}
 }
 
-func (k *bayesKernel) proba(dst [][]float64, X [][]float64, s *scratch) {
+func (k *bayesKernel) classify(labels []int, proba [][]float64, X [][]float64, s *scratch) {
 	z := s.z[:k.dim]
 	for r, x := range X {
 		k.transform(z, x)
-		scores := dst[r]
-		for c := 0; c < k.classes; c++ {
-			scores[c] = k.logJoint(c, z)
+		out := proba[r]
+		for c := range out {
+			out[c] = k.logJoint(c, z)
 		}
-		maxS := math.Inf(-1)
-		for _, sc := range scores {
-			if sc > maxS {
-				maxS = sc
-			}
+		if labels != nil {
+			labels[r] = ml.ArgMax(out) // first max, as predict's running max
 		}
-		sum := 0.0
-		for c, sc := range scores {
-			scores[c] = math.Exp(sc - maxS)
-			sum += scores[c]
+		softmax(out)
+	}
+}
+
+// softmax turns one row's class scores into the distribution the
+// interpreted Proba methods return: shift by the largest score,
+// exponentiate and normalize, in ascending class order. NaN scores
+// never become the shift, so they poison the row as they do there.
+func softmax(out []float64) {
+	maxS := math.Inf(-1)
+	for _, sc := range out {
+		if sc > maxS {
+			maxS = sc
 		}
-		for c := range scores {
-			scores[c] /= sum
-		}
+	}
+	sum := 0.0
+	for c, sc := range out {
+		out[c] = math.Exp(sc - maxS)
+		sum += out[c]
+	}
+	for c := range out {
+		out[c] /= sum
 	}
 }
 
@@ -530,51 +530,64 @@ func (k *mlpKernel) outScore(c int, h []float64) float64 {
 	return s
 }
 
-func (k *mlpKernel) predict(dst []int, X [][]float64, s *scratch) {
-	dim, hidden := k.dim, k.hidden
+// hidden4 runs the hidden layer for the four rows X[0..3] into the four
+// activation buffers hs returns. Each dot product must
+// stay a strictly ordered add chain (bit-equality), but different rows'
+// chains are independent, so blocking keeps four FP accumulators in
+// flight, amortizes the weight-row loads, and lets exp4 interleave the
+// four sigmoids. scratch z/h are sized 4*dim and 4*hidden for the four
+// standardize/activation buffers.
+func (k *mlpKernel) hidden4(X [][]float64, s *scratch) {
+	dim := k.dim
 	mean, sd := k.mean[:dim], k.sd[:dim]
-	// Four rows per pass: each dot product must stay a strictly ordered
-	// add chain (bit-equality), but different rows' chains are
-	// independent, so blocking keeps four FP accumulators in flight and
-	// amortizes the weight-row loads. scratch z/h are sized 4*dim and
-	// 4*hidden for the four standardize/activation buffers.
 	z0, z1, z2, z3 := s.z[:dim], s.z[dim:2*dim], s.z[2*dim:3*dim], s.z[3*dim:4*dim]
 	z1, z2, z3 = z1[:dim], z2[:dim], z3[:dim]
-	h0, h1, h2, h3 := s.h[:hidden], s.h[hidden:2*hidden], s.h[2*hidden:3*hidden], s.h[3*hidden:4*hidden]
-	h1, h2, h3 = h1[:hidden], h2[:hidden], h3[:hidden]
-	w1r, w2r := k.w1r, k.w2r
+	h0, h1, h2, h3 := k.hs(s)
+	x0, x1, x2, x3 := X[0][:dim], X[1][:dim], X[2][:dim], X[3][:dim]
+	x1, x2, x3 = x1[:dim], x2[:dim], x3[:dim]
+	for j := range x0 {
+		m, d := mean[j], sd[j]
+		z0[j] = (x0[j] - m) / d
+		z1[j] = (x1[j] - m) / d
+		z2[j] = (x2[j] - m) / d
+		z3[j] = (x3[j] - m) / d
+	}
+	for j, wj := range k.w1r {
+		wj = wj[:dim+1]
+		b := wj[dim]
+		s0, s1, s2, s3 := b, b, b, b
+		for i, v := range z0 {
+			w := wj[i]
+			s0 += w * v
+			s1 += w * z1[i]
+			s2 += w * z2[i]
+			s3 += w * z3[i]
+		}
+		var e [4]float64
+		exp4(&e, -s0, -s1, -s2, -s3)
+		h0[j] = 1 / (1 + e[0])
+		h1[j] = 1 / (1 + e[1])
+		h2[j] = 1 / (1 + e[2])
+		h3[j] = 1 / (1 + e[3])
+	}
+}
+
+// hs returns the scratch's four hidden-activation buffers.
+func (k *mlpKernel) hs(s *scratch) (h0, h1, h2, h3 []float64) {
+	hidden := k.hidden
+	h0, h1, h2, h3 = s.h[:hidden], s.h[hidden:2*hidden], s.h[2*hidden:3*hidden], s.h[3*hidden:4*hidden]
+	return h0, h1[:len(h0)], h2[:len(h0)], h3[:len(h0)]
+}
+
+func (k *mlpKernel) predict(dst []int, X [][]float64, s *scratch) {
+	hidden := k.hidden
+	h0, h1, h2, h3 := k.hs(s)
 	r := 0
 	for ; r+4 <= len(X); r += 4 {
-		x0, x1, x2, x3 := X[r][:dim], X[r+1][:dim], X[r+2][:dim], X[r+3][:dim]
-		x1, x2, x3 = x1[:dim], x2[:dim], x3[:dim]
-		for j := range x0 {
-			m, d := mean[j], sd[j]
-			z0[j] = (x0[j] - m) / d
-			z1[j] = (x1[j] - m) / d
-			z2[j] = (x2[j] - m) / d
-			z3[j] = (x3[j] - m) / d
-		}
-		for j, wj := range w1r {
-			wj = wj[:dim+1]
-			b := wj[dim]
-			s0, s1, s2, s3 := b, b, b, b
-			for i, v := range z0 {
-				w := wj[i]
-				s0 += w * v
-				s1 += w * z1[i]
-				s2 += w * z2[i]
-				s3 += w * z3[i]
-			}
-			var e [4]float64
-			exp4(&e, -s0, -s1, -s2, -s3)
-			h0[j] = 1 / (1 + e[0])
-			h1[j] = 1 / (1 + e[1])
-			h2[j] = 1 / (1 + e[2])
-			h3[j] = 1 / (1 + e[3])
-		}
+		k.hidden4(X[r:r+4], s)
 		b0, b1, b2, b3 := 0, 0, 0, 0
 		var t0, t1, t2, t3 float64
-		for c, wc := range w2r {
+		for c, wc := range k.w2r {
 			wc = wc[:hidden+1]
 			b := wc[hidden]
 			s0, s1, s2, s3 := b, b, b, b
@@ -615,25 +628,40 @@ func (k *mlpKernel) predict(dst []int, X [][]float64, s *scratch) {
 	}
 }
 
-func (k *mlpKernel) proba(dst [][]float64, X [][]float64, s *scratch) {
-	for r, x := range X {
-		_, h := k.hiddenLayer(x, s)
-		out := dst[r]
-		maxS := math.Inf(-1)
-		for c := 0; c < k.classes; c++ {
-			sc := k.outScore(c, h)
-			out[c] = sc
-			if sc > maxS {
-				maxS = sc
+func (k *mlpKernel) classify(labels []int, proba [][]float64, X [][]float64, s *scratch) {
+	hidden := k.hidden
+	h0, h1, h2, h3 := k.hs(s)
+	r := 0
+	for ; r+4 <= len(X); r += 4 {
+		k.hidden4(X[r:r+4], s)
+		p0, p1, p2, p3 := proba[r], proba[r+1], proba[r+2], proba[r+3]
+		for c, wc := range k.w2r {
+			wc = wc[:hidden+1]
+			b := wc[hidden]
+			s0, s1, s2, s3 := b, b, b, b
+			for j, v := range h0 {
+				w := wc[j]
+				s0 += w * v
+				s1 += w * h1[j]
+				s2 += w * h2[j]
+				s3 += w * h3[j]
 			}
+			p0[c], p1[c], p2[c], p3[c] = s0, s1, s2, s3
 		}
-		sum := 0.0
+	}
+	for ; r < len(X); r++ {
+		_, h := k.hiddenLayer(X[r], s)
+		out := proba[r]
 		for c := range out {
-			out[c] = math.Exp(out[c] - maxS)
-			sum += out[c]
+			out[c] = k.outScore(c, h)
 		}
-		for c := range out {
-			out[c] /= sum
+	}
+	// Every row's logits are in place: label by their first max, as
+	// predict does, then softmax them.
+	for r, out := range proba[:len(X)] {
+		if labels != nil {
+			labels[r] = ml.ArgMax(out)
 		}
+		softmax(out)
 	}
 }

@@ -913,21 +913,21 @@ const (
 // activations become unsigned codes in [0, hQ]; layer 2 is a dense
 // integer MAC with per-class requant, like qdenseKernel.
 type qmlpKernel struct {
-	qz         *affineQ
-	w1         []int32 // hidden × dim
-	m1, b1     []int64
-	sh1        []uint
-	pre1       uint
-	lut        []int32
-	lutHalf    int64
-	w2         []int32 // classes × hidden
-	m2, b2     []int64
-	sh2        []uint
-	pre2       uint
-	dim        int
-	hidden     int
-	classes    int
-	wide       bool
+	qz      *affineQ
+	w1      []int32 // hidden × dim
+	m1, b1  []int64
+	sh1     []uint
+	pre1    uint
+	lut     []int32
+	lutHalf int64
+	w2      []int32 // classes × hidden
+	m2, b2  []int64
+	sh2     []uint
+	pre2    uint
+	dim     int
+	hidden  int
+	classes int
+	wide    bool
 }
 
 func compileQuantMLP(m *mlp.MLP, prec Precision, calib [][]float64) (*qmlpKernel, error) {

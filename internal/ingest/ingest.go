@@ -758,7 +758,15 @@ func (s *Service) drainTenant(t *tenant, sc *shardScratch) int {
 	dst := sc.dst[:n]
 	var probClf ml.ProbClassifier
 	if s.prog != nil {
-		if err := s.prog.Predict(dst, sc.X); err != nil {
+		// One forward pass per chunk: Classify returns the labels and
+		// the scores together where the program has probabilities.
+		var err error
+		if sc.proba != nil {
+			err = s.prog.Classify(dst, sc.proba[:n], sc.X)
+		} else {
+			err = s.prog.Predict(dst, sc.X)
+		}
+		if err != nil {
 			// A trained program only fails on shape mismatch, which
 			// validation excludes; log and drop the chunk rather than spin.
 			obs.Log().Error("ingest: compiled predict failed", "err", err)
@@ -773,9 +781,6 @@ func (s *Service) drainTenant(t *tenant, sc *shardScratch) int {
 			}
 			return n
 		}
-		if sc.proba != nil {
-			s.prog.Proba(sc.proba[:n], sc.X)
-		}
 	} else {
 		for i := range sc.X {
 			dst[i] = s.cfg.Classifier.Predict(sc.X[i])
@@ -785,6 +790,11 @@ func (s *Service) drainTenant(t *tenant, sc *shardScratch) int {
 
 	now := time.Now().UnixNano()
 	var malware, alarms int64
+	// Drift sketches the chunk one segment at a time: a segment ends at
+	// the window whose count reaches rotateEvery, so the rotation's
+	// Advance sees exactly the windows a per-window Observe would have
+	// given it.
+	seg := 0
 	for i := range sc.ws {
 		w := &sc.ws[i]
 		pred := dst[i]
@@ -801,9 +811,6 @@ func (s *Service) drainTenant(t *tenant, sc *shardScratch) int {
 		}
 		if w.label >= 0 {
 			t.board.Observe(int(w.label), pred, score)
-		}
-		if t.drift != nil {
-			t.drift.Observe(w.values)
 		}
 		if es := t.endpoint(w.endpoint); es != nil {
 			raised := es.sm.Observe(pred)
@@ -822,8 +829,10 @@ func (s *Service) drainTenant(t *tenant, sc *shardScratch) int {
 		if t.sinceRotate >= s.rotateEvery {
 			t.board.Advance()
 			if t.drift != nil {
+				t.drift.ObserveChunk(sc.X[seg : i+1])
 				t.drift.Advance()
 			}
+			seg = i + 1
 			t.sinceRotate = 0
 		}
 		lat := float64(now-w.enqueuedNS) / float64(time.Second)
@@ -832,6 +841,9 @@ func (s *Service) drainTenant(t *tenant, sc *shardScratch) int {
 		} else {
 			s.hLatency.Observe(lat)
 		}
+	}
+	if t.drift != nil {
+		t.drift.ObserveChunk(sc.X[seg:])
 	}
 	if traced {
 		s.emitDrainSpans(sc, n, depth, dequeueNS, now)

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/httpapi"
+	"repro/internal/ml/mlp"
 	"repro/internal/ml/mltest"
 	"repro/internal/ml/tree"
 	"repro/internal/obs"
@@ -43,6 +44,26 @@ func testConfig(t *testing.T, mut func(*Config)) Config {
 		mut(&cfg)
 	}
 	return cfg
+}
+
+// mlpDetector arms a config with a compiled MLP and a drift baseline
+// over testConfig's four events, the shape an embedding program runs:
+// the drain calls Classify and ObserveChunk.
+func mlpDetector(t *testing.T) func(*Config) {
+	t.Helper()
+	x, y := mltest.Blobs(3, [][]float64{{0.1, 0.2, 0.3, 0.4}, {0.9, 0.2, 0.3, 0.4}}, 40, 0.2)
+	m := mlp.New()
+	if err := m.Train(x, y, 2); err != nil {
+		t.Fatal(err)
+	}
+	base, err := quality.CaptureBaseline([]string{"e0", "e1", "e2", "e3"}, x, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return func(c *Config) {
+		c.Classifier = m
+		c.Baseline = base
+	}
 }
 
 // win builds a labeled window whose first feature encodes the class.
@@ -468,6 +489,64 @@ func TestQualityDeterministicAcrossShards(t *testing.T) {
 			t.Fatalf("tenant %s quality differs between 1 and 8 shards:\n--- 1 shard\n%s\n--- 8 shards\n%s",
 				id, want, got)
 		}
+	}
+}
+
+// TestDrainDriftMatchesPerWindowReplay drains 300-window chunks, so one
+// chunk straddles each 4096-window rotation, and requires the tenant's
+// drift JSON to match, byte for byte, a detector fed one window at a
+// time and rotated every rotateEvery windows.
+func TestDrainDriftMatchesPerWindowReplay(t *testing.T) {
+	cfg := testConfig(t, mlpDetector(t))
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := quality.NewDriftDetector(cfg.Baseline,
+		quality.DriftConfig{Registry: obs.NewRegistry(), Bus: obs.NewBus()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Workers stay unstarted: each drain claims exactly one batch.
+	sc := newShardScratch(s, drainChunk)
+	const batch, batches = 300, 30
+	for b := 0; b < batches; b++ {
+		ws := make([]Window, batch)
+		for i := range ws {
+			k := b*batch + i
+			ws[i] = Window{Endpoint: fmt.Sprintf("ep%d", k%3), Values: []float64{
+				float64(k%13) / 10, float64(k%7) / 5, 0.3, float64(k%29)/20 - 0.4}}
+		}
+		if _, err := s.Enqueue("acme", "", ws); err != nil {
+			t.Fatal(err)
+		}
+		if n := s.drainTenant(s.lookupTenant("acme"), sc); n != batch {
+			t.Fatalf("batch %d: drained %d windows, want %d", b, n, batch)
+		}
+		for i, w := range ws {
+			ref.Observe(w.Values)
+			if (b*batch+i+1)%rotateEvery == 0 {
+				ref.Advance()
+			}
+		}
+	}
+	snap, ok, armed := s.TenantDrift("acme")
+	if !ok || !armed {
+		t.Fatalf("tenant drift ok=%v armed=%v", ok, armed)
+	}
+	if since := s.lookupTenant("acme").sinceRotate; since != batch*batches-2*rotateEvery {
+		t.Fatalf("%d windows since the last rotation: the stream should cross two", since)
+	}
+	got, err := json.Marshal(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(ref.Snapshot())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != string(want) {
+		t.Fatalf("drained drift differs from the per-window replay:\n--- drain\n%s\n--- replay\n%s", got, want)
 	}
 }
 

@@ -215,19 +215,25 @@ func TestQualityIdenticalTracingOnOff(t *testing.T) {
 // TestUnsampledIngestZeroAlloc pins the PR 4 guarantee under the
 // tracing refactor: with no trace recorded (nil tracer, and a tracer
 // that declined the request), the steady-state enqueue→drain hot path
-// allocates nothing per window.
+// allocates nothing per window — also with a compiled MLP and drift
+// armed, where the drain runs Classify and ObserveChunk.
 func TestUnsampledIngestZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		tracer *obs.ReqTracer
+		arm    func(*Config)
 	}{
-		{"nil-tracer", nil},
-		{"tracer-declines", obs.NewReqTracer(obs.ReqTracerConfig{})}, // ratio 0
+		{"nil-tracer", nil, nil},
+		{"tracer-declines", obs.NewReqTracer(obs.ReqTracerConfig{}), nil}, // ratio 0
+		{"compiled-mlp-drift", nil, mlpDetector(t)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s, err := New(testConfig(t, func(c *Config) {
 				c.QueueCap = 1024
 				c.Tracer = tc.tracer
+				if tc.arm != nil {
+					tc.arm(c)
+				}
 			}))
 			if err != nil {
 				t.Fatal(err)

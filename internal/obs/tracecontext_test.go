@@ -46,8 +46,8 @@ func TestParseTraceparentMalformed(t *testing.T) {
 	cases := []string{
 		"",
 		"garbage",
-		valid[:54],                        // truncated
-		strings.ToUpper(valid),            // uppercase hex is invalid per spec
+		valid[:54],             // truncated
+		strings.ToUpper(valid), // uppercase hex is invalid per spec
 		"ff-0123456789abcdeffedcba9876543210-00f067aa0ba902b7-01", // version ff forbidden
 		"00-00000000000000000000000000000000-00f067aa0ba902b7-01", // zero trace id
 		"00-0123456789abcdeffedcba9876543210-0000000000000000-01", // zero span id

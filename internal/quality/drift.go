@@ -113,11 +113,16 @@ func CaptureBaseline(names []string, rows [][]float64, bins int) (*Baseline, err
 }
 
 // binFor locates v's bin by its edges, clamping out-of-range values into
-// the first/last bin.
+// the first/last bin. Bin i covers (edges[i], edges[i+1]]: a value equal
+// to an interior edge lands in the lower bin, bin 0 also takes
+// edges[0] and everything below it, and the last bin takes everything
+// above the top edge, and NaN. With edges 0, 1, …, 16 the value 1 goes
+// to bin 0 and 2 to bin 1. Training and live windows share this rule
+// (binIndex.bin reproduces it), so changing it would move every drift
+// snapshot.
 func binFor(edges []float64, v float64) int {
 	bins := len(edges) - 1
-	// SearchFloat64s returns the first edge >= v; bin i covers
-	// [edges[i], edges[i+1]).
+	// SearchFloat64s returns the first edge >= v.
 	i := sort.SearchFloat64s(edges, v)
 	if i > 0 {
 		i--
@@ -126,6 +131,82 @@ func binFor(edges []float64, v float64) int {
 		i = bins - 1
 	}
 	return i
+}
+
+// binIndex looks up bins over one feature's validated edges (finite and
+// non-decreasing) by binFor's rule without a binary search: the
+// equal-width spacing CaptureBaseline lays down turns a value into a
+// guess that is right or one bin off, and a walk against the edges
+// corrects it, so any other sorted edges still get binFor's bin.
+type binIndex struct {
+	edges  []float64
+	lo, hi float64 // edges[0] and the top edge
+	scale  float64 // bins per unit of value, from the full edge span
+	last   int     // the top bin
+}
+
+func newBinIndex(edges []float64) binIndex {
+	bins := len(edges) - 1
+	lo, hi := edges[0], edges[bins]
+	return binIndex{edges: edges, lo: lo, hi: hi, scale: float64(bins) / (hi - lo), last: bins - 1}
+}
+
+// bin returns binFor(x.edges, v).
+func (x *binIndex) bin(v float64) int {
+	if !(v <= x.hi) { // above the top edge, or NaN
+		return x.last
+	}
+	if v <= x.lo {
+		return 0
+	}
+	// lo < v <= hi, so exactly one bin g has edges[g] < v <= edges[g+1].
+	// A span too wide for float64 makes scale 0 and f 0 or NaN, and a
+	// span too narrow makes f +Inf; the clamps and the walk absorb both.
+	g := 0
+	if f := (v - x.lo) * x.scale; f >= float64(x.last) {
+		g = x.last
+	} else if f > 0 {
+		g = int(f)
+	}
+	e := x.edges
+	for e[g] >= v {
+		g--
+	}
+	for e[g+1] < v {
+		g++
+	}
+	return g
+}
+
+// validate rejects a baseline the detector cannot index: it needs at
+// least one bin, and every feature exactly Bins+1 finite,
+// non-decreasing edges (binIndex's precondition), exactly Bins counts,
+// and a positive Count.
+func (b *Baseline) validate() error {
+	if b.Bins < 1 {
+		return fmt.Errorf("quality: baseline has %d bins, want at least 1", b.Bins)
+	}
+	for _, fb := range b.Features {
+		if len(fb.Edges) != b.Bins+1 {
+			return fmt.Errorf("quality: feature %q has %d edges, want %d", fb.Name, len(fb.Edges), b.Bins+1)
+		}
+		if len(fb.Counts) != b.Bins {
+			return fmt.Errorf("quality: feature %q has %d counts, want %d", fb.Name, len(fb.Counts), b.Bins)
+		}
+		if fb.Count <= 0 {
+			return fmt.Errorf("quality: feature %q has count %d, want > 0", fb.Name, fb.Count)
+		}
+		for i, e := range fb.Edges {
+			if math.IsNaN(e) || math.IsInf(e, 0) {
+				return fmt.Errorf("quality: feature %q edge %d is %v, want finite", fb.Name, i, e)
+			}
+			if i > 0 && e < fb.Edges[i-1] {
+				return fmt.Errorf("quality: feature %q edge %d (%v) is below edge %d (%v)",
+					fb.Name, i, e, i-1, fb.Edges[i-1])
+			}
+		}
+	}
+	return nil
 }
 
 // BaselineFromJSON decodes a baseline embedded in a run manifest's
@@ -176,6 +257,7 @@ type DriftDetector struct {
 	cur      int
 	observed int64
 	drifting []bool
+	index    []binIndex // per feature, over base's edges
 
 	mObserved *obs.Counter
 	gDrifting *obs.Gauge
@@ -184,10 +266,15 @@ type DriftDetector struct {
 }
 
 // NewDriftDetector builds a detector over a captured baseline and
-// registers its gauges.
+// registers its gauges. It returns an error unless Bins >= 1 and every
+// feature has exactly Bins+1 finite, non-decreasing edges, exactly Bins
+// counts, and a positive Count.
 func NewDriftDetector(base *Baseline, cfg DriftConfig) (*DriftDetector, error) {
 	if base == nil || len(base.Features) == 0 {
 		return nil, fmt.Errorf("quality: nil or empty baseline")
+	}
+	if err := base.validate(); err != nil {
+		return nil, err
 	}
 	if cfg.Registry == nil {
 		cfg.Registry = obs.DefaultRegistry
@@ -215,27 +302,58 @@ func NewDriftDetector(base *Baseline, cfg DriftConfig) (*DriftDetector, error) {
 	for _, fb := range base.Features {
 		d.gPSI = append(d.gPSI, cfg.Registry.Gauge(psiMetricPrefix+fb.Name))
 		d.gKS = append(d.gKS, cfg.Registry.Gauge(ksMetricPrefix+fb.Name))
+		d.index = append(d.index, newBinIndex(fb.Edges))
 	}
 	return d, nil
 }
 
-// Observe sketches one live window's feature vector. Vectors whose length
-// does not match the baseline are ignored (a misconfigured event set is a
-// setup error the caller surfaces elsewhere, not a drift signal).
+// Observe sketches one live window's feature vector: ObserveChunk of one
+// window.
 func (d *DriftDetector) Observe(vals []float64) {
-	if d == nil || len(vals) != len(d.base.Features) {
+	d.ObserveChunk([][]float64{vals})
+}
+
+// ObserveChunk sketches a chunk of live windows under one lock, with
+// counts, sums and sums of squares bit-identical to one Observe per
+// window in order. Vectors whose length does not match the baseline are
+// ignored (a misconfigured event set is a setup error the caller
+// surfaces elsewhere, not a drift signal).
+func (d *DriftDetector) ObserveChunk(X [][]float64) {
+	if d == nil {
+		return
+	}
+	nf := len(d.index)
+	n := 0
+	for _, x := range X {
+		if len(x) == nf {
+			n++
+		}
+	}
+	if n == 0 {
 		return
 	}
 	d.mu.Lock()
-	for f, v := range vals {
-		d.counts[d.cur][f][binFor(d.base.Features[f].Edges, v)]++
-		d.sums[d.cur][f] += v
-		d.sumSqs[d.cur][f] += v * v
+	counts, sums, sumSqs := d.counts[d.cur], d.sums[d.cur], d.sumSqs[d.cur]
+	// Feature-major, windows in arrival order within each feature: every
+	// feature's sums take the same adds in the same order as per window.
+	for f, idx := range d.index {
+		c := counts[f]
+		sum, sumSq := sums[f], sumSqs[f]
+		for _, x := range X {
+			if len(x) != nf {
+				continue
+			}
+			v := x[f]
+			c[idx.bin(v)]++
+			sum += v
+			sumSq += v * v
+		}
+		sums[f], sumSqs[f] = sum, sumSq
 	}
-	d.ns[d.cur]++
-	d.observed++
+	d.ns[d.cur] += int64(n)
+	d.observed += int64(n)
 	d.mu.Unlock()
-	d.mObserved.Inc()
+	d.mObserved.Add(int64(n))
 }
 
 // Advance rotates the epoch ring, recomputes PSI/KS per feature over the
