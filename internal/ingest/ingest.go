@@ -145,6 +145,8 @@ type Config struct {
 	// are identical at any value.
 	Shards int
 	// QueueCap bounds each tenant's queue in windows (default 16384).
+	// A tenant's ring holds only as many slots as its deepest queue has
+	// needed, so an idle or shallow tenant does not pay for the bound.
 	QueueCap int
 	// Registry receives the fleet-level ingest metrics (default
 	// obs.DefaultRegistry).
@@ -242,8 +244,12 @@ type tenant struct {
 	id    string
 	shard *shard
 
-	mu         sync.Mutex
-	queue      []queuedWindow // ring buffer, len == cap == QueueCap
+	mu sync.Mutex
+	// queue is a ring buffer, allocated at the tenant's first batch and
+	// grown (never shrunk) up to QueueCap slots. Every slot outside the
+	// n queued windows from head is zero, so a window that has left the
+	// queue pins neither its request's value slab nor its trace.
+	queue      []queuedWindow
 	head, n    int
 	dropOldest bool
 
@@ -318,7 +324,7 @@ type Service struct {
 	windowsTotal, droppedTotal     atomic.Int64
 	rejectedTotal                  atomic.Int64
 	malwareTotal, alarmsTotal      atomic.Int64
-	queuedTotal                    atomic.Int64
+	queuedTotal, slotsTotal        atomic.Int64
 }
 
 // New builds a service over a trained classifier, compiling it when the
@@ -457,7 +463,6 @@ func (s *Service) getTenant(id string) (*tenant, error) {
 	t = &tenant{
 		id:        id,
 		shard:     s.shardFor(id),
-		queue:     make([]queuedWindow, s.cfg.QueueCap),
 		board:     quality.NewScoreboard(quality.Config{Registry: reg}),
 		endpoints: make(map[string]*endpointState),
 	}
@@ -572,20 +577,23 @@ func (s *Service) EnqueueTraced(tenantID, overflow string, ws []Window, at *obs.
 				Cap: capN, RetryAfter: s.retryAfter(queued)}
 		}
 		evict := t.n + len(incoming) - capN
-		if s.cfg.Tracer != nil {
+		for i := 0; i < evict; i++ {
+			slot := &t.queue[(t.head+i)%len(t.queue)]
 			// Evicted windows may belong to in-flight traces; settle their
 			// pending counts (and mark the loss) or those traces never
-			// commit. Off the untraced path this loop never runs.
-			for i := 0; i < evict; i++ {
-				if tr := t.queue[(t.head+i)%capN].trace; tr != nil {
-					tr.SetError("windows evicted by drop_oldest")
-					tr.FinishPending(1, now)
-				}
+			// commit.
+			if tr := slot.trace; tr != nil {
+				tr.SetError("windows evicted by drop_oldest")
+				tr.FinishPending(1, now)
 			}
+			*slot = queuedWindow{}
 		}
-		t.head = (t.head + evict) % capN
+		t.head = (t.head + evict) % len(t.queue)
 		t.n -= evict
 		res.Dropped += evict
+	}
+	if need := t.n + len(incoming); need > len(t.queue) {
+		s.slotsTotal.Add(int64(t.grow(need, capN)))
 	}
 	// Grow the trace's pending count before any stamped window becomes
 	// visible to a shard worker, so the trace cannot commit mid-batch.
@@ -595,7 +603,7 @@ func (s *Service) EnqueueTraced(tenantID, overflow string, ws []Window, at *obs.
 		if w.Label != nil {
 			label = int8(*w.Label)
 		}
-		t.queue[(t.head+t.n)%capN] = queuedWindow{
+		t.queue[(t.head+t.n)%len(t.queue)] = queuedWindow{
 			endpoint: w.Endpoint, label: label,
 			enqueuedNS: now, values: w.Values, trace: at,
 		}
@@ -625,6 +633,24 @@ func (s *Service) EnqueueTraced(tenantID, overflow string, ws []Window, at *obs.
 	s.gQueued.Set(float64(s.queuedTotal.Add(int64(res.Accepted - res.Dropped))))
 	t.shard.wake()
 	return res, nil
+}
+
+// grow reallocates the tenant's ring to the smallest size that holds
+// need windows: a power of two no smaller than one drain chunk, capped
+// at capN. The queued windows move oldest first, so head returns to
+// slot 0. It returns how many slots the ring gained. Caller holds t.mu.
+func (t *tenant) grow(need, capN int) int {
+	size := drainChunk
+	for size < need {
+		size *= 2
+	}
+	size = min(size, capN)
+	q := make([]queuedWindow, size)
+	k := copy(q[:t.n], t.queue[t.head:])
+	copy(q[k:t.n], t.queue[:t.n-k])
+	added := size - len(t.queue)
+	t.queue, t.head = q, 0
+	return added
 }
 
 // retryAfter estimates how long a rejected producer should back off:
@@ -700,6 +726,14 @@ type shardScratch struct {
 	shard int
 }
 
+// release drops the chunk's references to its windows once they have
+// their verdicts, so an idle shard pins neither the last chunk's value
+// slabs nor its traces.
+func (sc *shardScratch) release() {
+	clear(sc.ws)
+	clear(sc.X)
+}
+
 func newShardScratch(s *Service, chunk int) *shardScratch {
 	sc := &shardScratch{
 		ws:  make([]queuedWindow, 0, chunk),
@@ -719,7 +753,6 @@ func newShardScratch(s *Service, chunk int) *shardScratch {
 // through the detection pipeline in arrival order. Returns how many
 // windows it processed.
 func (s *Service) drainTenant(t *tenant, sc *shardScratch) int {
-	capN := s.cfg.QueueCap
 	t.mu.Lock()
 	n := t.n
 	if n == 0 {
@@ -733,15 +766,17 @@ func (s *Service) drainTenant(t *tenant, sc *shardScratch) int {
 	traced := false
 	sc.ws = sc.ws[:0]
 	for i := 0; i < n; i++ {
-		w := t.queue[(t.head+i)%capN]
-		if w.trace != nil {
+		slot := &t.queue[(t.head+i)%len(t.queue)]
+		if slot.trace != nil {
 			traced = true
 		}
-		sc.ws = append(sc.ws, w)
+		sc.ws = append(sc.ws, *slot)
+		*slot = queuedWindow{}
 	}
-	t.head = (t.head + n) % capN
+	t.head = (t.head + n) % len(t.queue)
 	t.n -= n
 	t.mu.Unlock()
+	defer sc.release()
 
 	// Timestamps for the per-stage spans are taken only when this chunk
 	// carries at least one sampled window: the unsampled path adds no
@@ -932,11 +967,15 @@ func malwareScore(p []float64, pred int) float64 {
 	return float64(pred)
 }
 
-// TenantSummary is one tenant's row of GET /api/v1/tenants.
+// TenantSummary is one tenant's row of GET /api/v1/tenants. QueueSlots
+// is the ring slots the tenant's queue holds: its deepest depth so far,
+// rounded up to a power of two of at least one drain chunk, at most
+// QueueCap.
 type TenantSummary struct {
 	ID               string `json:"id"`
 	Queued           int    `json:"queued"`
 	QueueCap         int    `json:"queue_cap"`
+	QueueSlots       int    `json:"queue_slots"`
 	Overflow         string `json:"overflow"`
 	Endpoints        int64  `json:"endpoints"`
 	WindowsIngested  int64  `json:"windows_ingested"`
@@ -949,14 +988,14 @@ type TenantSummary struct {
 
 func (t *tenant) summary(capN int) TenantSummary {
 	t.mu.Lock()
-	queued := t.n
+	queued, slots := t.n, len(t.queue)
 	overflow := OverflowReject
 	if t.dropOldest {
 		overflow = OverflowDropOldest
 	}
 	t.mu.Unlock()
 	return TenantSummary{
-		ID: t.id, Queued: queued, QueueCap: capN, Overflow: overflow,
+		ID: t.id, Queued: queued, QueueCap: capN, QueueSlots: slots, Overflow: overflow,
 		Endpoints:        t.endpointCount.Load(),
 		WindowsIngested:  t.windowsIngested.Load(),
 		WindowsProcessed: t.windowsProcessed.Load(),
@@ -1025,7 +1064,8 @@ func (s *Service) TenantDrift(id string) (snap quality.DriftSnapshot, ok, armed 
 
 // Stats is the service-wide roll-up served by GET /api/v1/ingest: the
 // load-test harness reads sustained windows/sec and ingest-to-verdict
-// latency percentiles from here.
+// latency percentiles from here. QueueSlots sums every tenant's ring
+// slots, the queues' share of the heap at 64 B a slot.
 type Stats struct {
 	Started          bool    `json:"started"`
 	Program          string  `json:"program,omitempty"`
@@ -1034,6 +1074,7 @@ type Stats struct {
 	QueueCap         int     `json:"queue_cap"`
 	Tenants          int     `json:"tenants"`
 	Queued           int64   `json:"queued"`
+	QueueSlots       int64   `json:"queue_slots"`
 	BatchesIngested  int64   `json:"batches_ingested"`
 	WindowsIngested  int64   `json:"windows_ingested"`
 	WindowsProcessed int64   `json:"windows_processed"`
@@ -1061,6 +1102,7 @@ func (s *Service) Stats() Stats {
 		QueueCap:         s.cfg.QueueCap,
 		Tenants:          tenants,
 		Queued:           s.queuedTotal.Load(),
+		QueueSlots:       s.slotsTotal.Load(),
 		BatchesIngested:  s.batchesTotal.Load(),
 		WindowsIngested:  s.windowsTotal.Load(),
 		WindowsProcessed: s.processedTotal.Load(),

@@ -4,11 +4,13 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/httpapi"
 	"repro/internal/obs"
 	"repro/internal/tsdb"
 )
@@ -122,6 +124,100 @@ func TestQueryRangeEndpoint(t *testing.T) {
 }
 
 func itoa(v int64) string { return strconv.FormatInt(v, 10) }
+
+// TestQueryRangeRejectsUnrepresentableNumbers: a time or step that is
+// not finite, or whose milliseconds do not fit in int64, answers 400
+// with the error envelope instead of a clamped or defaulted range.
+func TestQueryRangeRejectsUnrepresentableNumbers(t *testing.T) {
+	s, _, _ := testServer(t)
+	st, t0 := testStore(t)
+	s.SetStore(st)
+	base := "/api/v1/query_range?metric=trace.windows_simulated"
+	for _, q := range []string{
+		"&from=NaN",
+		"&from=1e300",
+		"&from=-9.3e15",
+		"&from=-Inf&to=Inf",
+		"&from=" + itoa(t0) + "&to=Inf",
+		"&from=" + itoa(t0) + "&to=9.3e18",
+		"&step=NaN",
+		"&step=1e300",
+		"&step=-Inf",
+	} {
+		code, body, _ := get(t, s.Handler(), base+q)
+		if code != http.StatusBadRequest {
+			t.Errorf("%s = %d %s, want 400", q, code, body)
+			continue
+		}
+		if env := decodeEnvelope(t, body); env.Error.Code != httpapi.CodeBadRequest {
+			t.Errorf("%s: envelope code %q", q, env.Error.Code)
+		}
+	}
+	// The largest representable bounds still answer.
+	if code, body, _ := get(t, s.Handler(), base+"&from=-9.2e15&to=9.2e18&step=9e15"); code != 200 {
+		t.Errorf("extreme finite range = %d %s, want 200", code, body)
+	}
+}
+
+// FuzzQueryRange holds /api/v1/query_range to its contract for any
+// parameter strings: 200, 400 or 404 and never a 5xx or a panic; a 200
+// has from_ms <= to_ms, step_ms >= 1 and strictly increasing point
+// times. The store holds a counter, a gauge and a histogram scraped at
+// strictly increasing times.
+func FuzzQueryRange(f *testing.F) {
+	reg := obs.NewRegistry()
+	st := tsdb.New(tsdb.Config{Registry: reg, Interval: time.Second, Bus: obs.NewBus()})
+	c, g := reg.Counter("trace.windows_simulated"), reg.Gauge("quality.f1")
+	h := reg.Histogram("ingest.verdict_latency_seconds", obs.TimeBuckets)
+	t0 := time.UnixMilli(1_700_000_000_000)
+	for i := 0; i < 900; i++ {
+		c.Add(10)
+		g.Set(float64(i%7) / 7)
+		h.Observe(float64(i%13) / 1000)
+		st.ScrapeAt(t0.Add(time.Duration(i)*time.Second + time.Duration(i%3)*time.Millisecond))
+	}
+	s := New(WithRegistry(obs.NewRegistry()), WithBus(obs.NewBus()))
+	s.SetStore(st)
+	ms := itoa(t0.UnixMilli())
+	for _, seed := range [][5]string{
+		{"trace.windows_simulated", "NaN", "", "", ""},
+		{"trace.windows_simulated", "1e300", "", "", ""},
+		{"trace.windows_simulated", "-9.3e15", "", "", ""},
+		{"trace.windows_simulated", "-Inf", "Inf", "", ""},
+		{"trace.windows_simulated", "", "", "NaN", ""},
+		{"trace.windows_simulated", "", "", "1e300", ""},
+		{"trace.windows_simulated", ms, itoa(t0.UnixMilli() + 900_000), "15s", "rate"},
+		{"quality.f1", "now-1h", "now", "", "max"},
+		{"ingest.verdict_latency_seconds:p99", ms, "", "2m", "avg"},
+		{"ingest.verdict_latency_seconds:count", "-9.2e15", "9.2e18", "1", "count"},
+		{"no.such.metric", "", "", "", "median"},
+	} {
+		f.Add(seed[0], seed[1], seed[2], seed[3], seed[4])
+	}
+	f.Fuzz(func(t *testing.T, metric, from, to, step, agg string) {
+		q := url.Values{"metric": {metric}, "from": {from}, "to": {to}, "step": {step}, "agg": {agg}}
+		code, body, _ := get(t, s.Handler(), "/api/v1/query_range?"+q.Encode())
+		switch code {
+		case http.StatusBadRequest, http.StatusNotFound:
+			return
+		case http.StatusOK:
+		default:
+			t.Fatalf("status %d: %s", code, body)
+		}
+		var res tsdb.QueryResult
+		if err := json.Unmarshal([]byte(body), &res); err != nil {
+			t.Fatalf("200 body does not decode: %v\n%s", err, body)
+		}
+		if res.FromMS > res.ToMS || res.StepMS < 1 {
+			t.Fatalf("from_ms %d, to_ms %d, step_ms %d", res.FromMS, res.ToMS, res.StepMS)
+		}
+		for i := 1; i < len(res.Points); i++ {
+			if res.Points[i].T <= res.Points[i-1].T {
+				t.Fatalf("point %d at %d ms does not follow %d ms", i, res.Points[i].T, res.Points[i-1].T)
+			}
+		}
+	})
+}
 
 func TestAlertsHistoryEndpoint(t *testing.T) {
 	s, _, _ := testServer(t)

@@ -622,10 +622,24 @@ func parseQueryTime(v string, now time.Time, def int64) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("bad time %q (want now, now-<dur>, or unix seconds/ms)", v)
 	}
-	if f > 1e12 {
-		return int64(f), nil
+	if f <= 1e12 {
+		f *= 1000
 	}
-	return int64(f * 1000), nil
+	ms, ok := floatMS(f)
+	if !ok {
+		return 0, fmt.Errorf("bad time %q (not finite, or outside int64 milliseconds)", v)
+	}
+	return ms, nil
+}
+
+// floatMS converts a number of milliseconds to int64. It refuses NaN,
+// ±Inf and anything beyond ±2^63, where Go's conversion is
+// implementation-defined.
+func floatMS(f float64) (int64, bool) {
+	if !(f >= -0x1p63 && f < 0x1p63) {
+		return 0, false
+	}
+	return int64(f), true
 }
 
 // parseQueryStep parses the step parameter: a Go duration ("30s") or a
@@ -642,7 +656,11 @@ func parseQueryStep(v string) (int64, error) {
 	if err != nil {
 		return 0, fmt.Errorf("bad step %q (want a duration like 30s or seconds)", v)
 	}
-	return int64(f * 1000), nil
+	ms, ok := floatMS(f * 1000)
+	if !ok {
+		return 0, fmt.Errorf("bad step %q (not finite, or outside int64 milliseconds)", v)
+	}
+	return ms, nil
 }
 
 // handleSeries serves the tsdb catalog, or 404 while no store is

@@ -3,6 +3,7 @@ package tsdb
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -122,25 +123,25 @@ func (st *Store) QueryRange(metric string, fromMS, toMS, stepMS int64, agg strin
 	// Merge tier points into aligned output buckets. Points arrive
 	// oldest-first, so buckets fill in order.
 	type bucket struct {
-		idx int64
-		p   Point
+		t int64
+		p Point
 	}
 	var buckets []bucket
 	// A downsampled bucket's aligned start can precede from while its
 	// samples are in range; reach one resolution back so that bucket is
-	// not dropped (it lands in output bucket 0 — truncation toward zero
-	// keeps the small-negative offset there, since step >= resolution).
+	// not dropped (it lands in output bucket 0, since step >= resolution).
+	// Near the bottom of int64 there is nothing to reach back to.
 	scanFrom := fromMS
-	if tr := s.tiers[tier].resMS; tr > 0 {
+	if tr := s.tiers[tier].resMS; tr > 0 && fromMS > math.MinInt64+tr {
 		scanFrom = fromMS - (tr - 1)
 	}
 	s.tiers[tier].scan(scanFrom, toMS, func(p Point) {
-		idx := (p.T - fromMS) / stepMS
-		if n := len(buckets); n > 0 && buckets[n-1].idx == idx {
+		t := bucketStart(p.T, fromMS, stepMS)
+		if n := len(buckets); n > 0 && buckets[n-1].t == t {
 			buckets[n-1].p.merge(p)
 			return
 		}
-		buckets = append(buckets, bucket{idx: idx, p: p})
+		buckets = append(buckets, bucket{t: t, p: p})
 	})
 
 	if agg == "rate" {
@@ -159,7 +160,7 @@ func (st *Store) QueryRange(metric string, fromMS, toMS, stepMS int64, agg strin
 					v = 0
 				}
 			}
-			res.Points = append(res.Points, QueryPoint{T: fromMS + b.idx*stepMS, V: v})
+			res.Points = append(res.Points, QueryPoint{T: b.t, V: v})
 			prevAvg, prevT, havePrev = b.p.avg(), b.p.T, true
 		}
 		return res, nil
@@ -179,9 +180,21 @@ func (st *Store) QueryRange(metric string, fromMS, toMS, stepMS int64, agg strin
 		default:
 			v = b.p.avg()
 		}
-		res.Points = append(res.Points, QueryPoint{T: fromMS + b.idx*stepMS, V: v})
+		res.Points = append(res.Points, QueryPoint{T: b.t, V: v})
 	}
 	return res, nil
+}
+
+// bucketStart returns the start of the stepMS-wide output bucket, counted
+// from fromMS, that holds a point at tMS; a point before fromMS belongs
+// to the first bucket. The difference is taken unsigned, where it is
+// exact for any two int64s, so a from near the bottom of int64 cannot
+// overflow it.
+func bucketStart(tMS, fromMS, stepMS int64) int64 {
+	if tMS <= fromMS {
+		return fromMS
+	}
+	return tMS - int64((uint64(tMS)-uint64(fromMS))%uint64(stepMS))
 }
 
 // TierInfo describes one resolution tier of a series in the catalog.
@@ -223,7 +236,7 @@ func (st *Store) Series() Catalog {
 		info := SeriesInfo{Name: name, Kind: s.kind, Samples: s.samples}
 		for i, r := range s.tiers {
 			ti := TierInfo{Name: tierNames[i], ResMS: r.resMS,
-				Points: r.length(), Capacity: len(r.pts)}
+				Points: r.length(), Capacity: r.capacity()}
 			if i == 0 {
 				ti.ResMS = rawRes
 			}

@@ -52,21 +52,52 @@ func (p Point) avg() float64 {
 	return p.Sum / float64(p.Count)
 }
 
+// sample is one raw-tier point: a scrape's time and value, 16 B where a
+// bucket takes 40.
+type sample struct {
+	t int64
+	v float64
+}
+
 // ring is one resolution tier of one series: a fixed-capacity circular
-// buffer of Points. Capacity — not wall-clock — bounds storage: when the
-// ring is full the oldest bucket is overwritten, so a tier's retention
-// window is capacity × resolution regardless of how long the process
-// runs. resMS 0 means "no bucketing": every observation with a new
-// timestamp appends a point (the raw tier).
+// buffer. Capacity — not wall-clock — bounds storage: when the ring is
+// full the oldest point is overwritten, so a tier's retention window is
+// capacity × resolution regardless of how long the process runs. resMS
+// 0 means "no bucketing": the raw tier, which keeps one (t, v) sample
+// per scrape in raw and reads each back as a Count-1 Point. The
+// bucketed tiers keep Points in pts; exactly one of the two is set.
 type ring struct {
 	resMS int64
 	pts   []Point
+	raw   []sample
 	next  int
 	full  bool
 }
 
 func newRing(resMS int64, capacity int) *ring {
+	if resMS == 0 {
+		return &ring{raw: make([]sample, capacity)}
+	}
 	return &ring{resMS: resMS, pts: make([]Point, capacity)}
+}
+
+// capacity returns the ring's size in points.
+func (r *ring) capacity() int {
+	if r.raw != nil {
+		return len(r.raw)
+	}
+	return len(r.pts)
+}
+
+// at returns the point in slot i. A raw sample reads as the Count-1
+// bucket Point.observe makes from it, whose Sum is 0 + v: a -0 sample
+// has Min and Max -0 but sums to +0.
+func (r *ring) at(i int) Point {
+	if r.raw != nil {
+		s := r.raw[i]
+		return Point{T: s.t, Min: s.v, Max: s.v, Sum: 0 + s.v, Count: 1}
+	}
+	return r.pts[i]
 }
 
 // lastIdx returns the index of the most recently written point, or -1
@@ -75,13 +106,13 @@ func (r *ring) lastIdx() int {
 	if r.next == 0 && !r.full {
 		return -1
 	}
-	return (r.next - 1 + len(r.pts)) % len(r.pts)
+	return (r.next - 1 + r.capacity()) % r.capacity()
 }
 
 // len returns the number of live points.
 func (r *ring) length() int {
 	if r.full {
-		return len(r.pts)
+		return r.capacity()
 	}
 	return r.next
 }
@@ -89,20 +120,28 @@ func (r *ring) length() int {
 // observe streams one sample in: it merges into the newest bucket when
 // the sample falls in the same time slot, else appends a fresh bucket
 // (evicting the oldest when full). Samples are assumed to arrive in
-// non-decreasing time order — the scraper is the only writer.
+// non-decreasing time order — the scraper is the only writer. A raw
+// sample has no bucket to merge into: a second sample in the same
+// millisecond replaces the first (the last value wins). Run's ticker
+// never scrapes twice in one millisecond.
 func (r *ring) observe(tMS int64, v float64) {
-	bucket := tMS
-	if r.resMS > 0 {
-		bucket = tMS - tMS%r.resMS
+	if r.raw != nil {
+		if i := r.lastIdx(); i >= 0 && r.raw[i].t == tMS {
+			r.raw[i].v = v
+			return
+		}
+		r.raw[r.next] = sample{t: tMS, v: v}
+	} else {
+		bucket := tMS - tMS%r.resMS
+		if i := r.lastIdx(); i >= 0 && r.pts[i].T == bucket {
+			r.pts[i].observe(v)
+			return
+		}
+		p := Point{T: bucket}
+		p.observe(v)
+		r.pts[r.next] = p
 	}
-	if i := r.lastIdx(); i >= 0 && r.pts[i].T == bucket {
-		r.pts[i].observe(v)
-		return
-	}
-	p := Point{T: bucket}
-	p.observe(v)
-	r.pts[r.next] = p
-	r.next = (r.next + 1) % len(r.pts)
+	r.next = (r.next + 1) % r.capacity()
 	if r.next == 0 {
 		r.full = true
 	}
@@ -111,12 +150,12 @@ func (r *ring) observe(tMS int64, v float64) {
 // oldest returns the oldest retained bucket's start time.
 func (r *ring) oldest() (int64, bool) {
 	if r.full {
-		return r.pts[r.next].T, true
+		return r.at(r.next).T, true
 	}
 	if r.next == 0 {
 		return 0, false
 	}
-	return r.pts[0].T, true
+	return r.at(0).T, true
 }
 
 // scan calls fn for every retained point with T in [fromMS, toMS],
@@ -128,7 +167,7 @@ func (r *ring) scan(fromMS, toMS int64, fn func(Point)) {
 		start = r.next
 	}
 	for i := 0; i < n; i++ {
-		p := r.pts[(start+i)%len(r.pts)]
+		p := r.at((start + i) % r.capacity())
 		if p.T < fromMS || p.T > toMS {
 			continue
 		}
@@ -148,7 +187,7 @@ func (r *ring) lastBefore(fromMS int64) (Point, bool) {
 	var got Point
 	var ok bool
 	for i := 0; i < n; i++ {
-		p := r.pts[(start+i)%len(r.pts)]
+		p := r.at((start + i) % r.capacity())
 		if p.T >= fromMS {
 			break
 		}

@@ -12,18 +12,20 @@
 //	15s   15-second buckets        (480 points = 2 h)
 //	2m    2-minute buckets         (720 points = 24 h)
 //
-// Every tier bucket keeps min/max/sum/count, so compaction preserves
-// spikes (the max survives) and troughs (the min survives) instead of
-// averaging them away. Histogram metrics become three derived series:
+// The raw tier keeps each scrape as a (t, v) pair; every 15s and 2m
+// bucket keeps min/max/sum/count, so compaction preserves spikes (the
+// max survives) and troughs (the min survives) instead of averaging
+// them away. Histogram metrics become three derived series:
 // "name:count" (cumulative observation count, rate-queryable) plus
 // "name:p50" and "name:p99" sampled through the shared
 // obs.HistogramSnapshot.Quantile helper.
 //
 // Memory is bounded by ring capacity, not wall-clock: each series costs
-// (600+480+720) × 40 B = 72 KB regardless of uptime, and the series
-// population is bounded by the registry's metric names. The store also retains a bounded ring of alert, drift
-// and alarm events — the /alerts/history payload — so "what fired in
-// the last hour" outlives the alert engine's current state.
+// 600 × 16 B + (480+720) × 40 B = 57.6 KB regardless of uptime, and the
+// series population is bounded by the registry's metric names. The
+// store also retains a bounded ring of alert, drift and alarm events —
+// the /alerts/history payload — so "what fired in the last hour"
+// outlives the alert engine's current state.
 package tsdb
 
 import (
@@ -56,7 +58,7 @@ const (
 )
 
 // Per-series tier capacities in points: together they are the store's
-// memory cap, bytes/series = 40 × (raw+mid+long).
+// memory cap, bytes/series = 16 × raw + 40 × (mid+long).
 const (
 	rawCapacity  = 600
 	midCapacity  = 480

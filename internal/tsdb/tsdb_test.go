@@ -2,8 +2,10 @@ package tsdb
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -421,4 +423,239 @@ func TestConcurrentScrapeAndQuery(t *testing.T) {
 	}
 	close(stop)
 	<-done
+}
+
+// refRing is the raw tier as it was before raw points became (t, v)
+// pairs: a ring of 40-byte Points, kept as the reference the raw tier
+// must answer exactly as. It is today's ring code at resMS 0.
+type refRing struct {
+	pts  []Point
+	next int
+	full bool
+}
+
+func (r *refRing) observe(tMS int64, v float64) {
+	last := -1
+	if r.next != 0 || r.full {
+		last = (r.next - 1 + len(r.pts)) % len(r.pts)
+	}
+	if last >= 0 && r.pts[last].T == tMS {
+		r.pts[last].observe(v)
+		return
+	}
+	p := Point{T: tMS}
+	p.observe(v)
+	r.pts[r.next] = p
+	r.next = (r.next + 1) % len(r.pts)
+	if r.next == 0 {
+		r.full = true
+	}
+}
+
+// ring returns a bucketed-layout ring over the reference's points, for
+// a store whose queries must read them through the shared query code.
+func (r *refRing) ring() *ring {
+	return &ring{pts: r.pts, next: r.next, full: r.full}
+}
+
+// refValue draws a sample: small integers and fractions, zeros of both
+// signs, and magnitudes far apart, so sums and means round.
+func refValue(rng *rand.Rand) float64 {
+	switch rng.Intn(6) {
+	case 0:
+		return math.Copysign(0, -1)
+	case 1:
+		return 0
+	case 2:
+		return float64(rng.Intn(100))
+	case 3:
+		return rng.NormFloat64() * 1e12
+	default:
+		return rng.Float64()
+	}
+}
+
+// TestRawTierMatchesPointRing feeds random strictly increasing scrape
+// sequences (wrapping the 600-point raw tier, with gaps) into a store
+// and into the reference ring. A twin store answers from the reference
+// ring's points; every query, the catalog and the recent history must
+// read byte for byte the same on both.
+func TestRawTierMatchesPointRing(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		st := New(Config{Registry: obs.NewRegistry(), Interval: time.Second, Bus: obs.NewBus()})
+		names := map[string]string{"c": KindCounter, "g": KindGauge, "h:p99": KindGauge}
+		refs := map[string]*refRing{}
+		tMS := int64(1_700_000_000_000) + rng.Int63n(120_000)
+		counter := 0.0
+		samples := 700 + rng.Intn(2300) // past the 600-point raw tier
+		if seed == 1 {
+			samples = 400 // a raw tier that never fills
+		}
+		for i := 0; i < samples; i++ {
+			switch k := rng.Intn(20); {
+			case k == 0:
+				tMS += 1 + rng.Int63n(999) // sub-interval
+			case k == 1:
+				tMS += rng.Int63n(3_600_000) // an outage of up to an hour
+			case k < 4:
+				tMS += rng.Int63n(300_000)
+			default:
+				tMS += 1000
+			}
+			counter += float64(rng.Intn(50))
+			st.mu.Lock()
+			for name, kind := range names {
+				v := refValue(rng)
+				if kind == KindCounter {
+					v = counter
+				}
+				if rng.Intn(10) == 0 && name != "c" {
+					continue // a series that misses a scrape
+				}
+				st.observeLocked(name, kind, tMS, v)
+				if refs[name] == nil {
+					refs[name] = &refRing{pts: make([]Point, rawCapacity)}
+				}
+				refs[name].observe(tMS, v)
+			}
+			if st.firstMS == 0 {
+				st.firstMS = tMS
+			}
+			st.lastMS = tMS
+			st.mu.Unlock()
+		}
+
+		// The raw rings themselves agree point for point.
+		for name, ref := range refs {
+			raw, want := st.series[name].tiers[0], ref.ring()
+			if raw.length() != want.length() || raw.capacity() != want.capacity() {
+				t.Fatalf("seed %d %s: length/capacity %d/%d, reference %d/%d", seed, name,
+					raw.length(), raw.capacity(), want.length(), want.capacity())
+			}
+			for i := 0; i < raw.capacity(); i++ {
+				if got, ref := raw.at(i), want.at(i); i < raw.length() && !samePoint(got, ref) {
+					t.Fatalf("seed %d %s slot %d: %+v, reference %+v", seed, name, i, got, ref)
+				}
+			}
+		}
+
+		twin := New(Config{Registry: obs.NewRegistry(), Interval: time.Second, Bus: obs.NewBus()})
+		twin.firstMS, twin.lastMS = st.firstMS, st.lastMS
+		for name, s := range st.series {
+			twin.series[name] = &series{name: name, kind: s.kind, samples: s.samples,
+				tiers: []*ring{refs[name].ring(), s.tiers[1], s.tiers[2]}}
+		}
+
+		first, last := st.firstMS, st.lastMS
+		rawOldest, _ := st.series["c"].tiers[0].oldest()
+		windows := [][2]int64{
+			{first, last},
+			{last - 30_000, last},
+			{last - 10*60_000, last},
+			{rawOldest - 1, last},
+			{rawOldest, rawOldest + 90_000},
+			{rawOldest + 1, last},
+			{first - 3_600_000, first + 600_000},
+			{last + 1, last + 3_600_000},
+			{first + (last-first)/3, first + 2*(last-first)/3},
+			{last, last - 1}, // from after to
+		}
+		for i := 0; i < 4; i++ {
+			a, b := first+rng.Int63n(last-first+1), first+rng.Int63n(last-first+1)
+			windows = append(windows, [2]int64{min(a, b), max(a, b)})
+		}
+		steps := []int64{0, 1, 1000, 7_000, 15_000, 45_000, 120_000, 3_600_000}
+		for name := range refs {
+			for _, w := range windows {
+				for _, step := range steps {
+					for _, agg := range append([]string{""}, Aggregations...) {
+						got, gerr := st.QueryRange(name, w[0], w[1], step, agg)
+						want, werr := twin.QueryRange(name, w[0], w[1], step, agg)
+						if gj, wj := mustJSON(t, got, gerr), mustJSON(t, want, werr); gj != wj {
+							t.Fatalf("seed %d %s %v step %d agg %q:\n got %s\nwant %s",
+								seed, name, w, step, agg, gj, wj)
+						}
+					}
+				}
+			}
+		}
+		if g, w := mustJSON(t, st.Series(), nil), mustJSON(t, twin.Series(), nil); g != w {
+			t.Fatalf("seed %d catalog:\n got %s\nwant %s", seed, g, w)
+		}
+		for _, d := range []time.Duration{time.Second, time.Minute, 5 * time.Minute, time.Hour} {
+			if g, w := mustJSON(t, st.RecentHistory(d), nil), mustJSON(t, twin.RecentHistory(d), nil); g != w {
+				t.Fatalf("seed %d RecentHistory(%s):\n got %s\nwant %s", seed, d, g, w)
+			}
+		}
+	}
+}
+
+// samePoint compares two points bit for bit, so -0 and +0 differ.
+func samePoint(a, b Point) bool {
+	return a.T == b.T && a.Count == b.Count &&
+		math.Float64bits(a.Min) == math.Float64bits(b.Min) &&
+		math.Float64bits(a.Max) == math.Float64bits(b.Max) &&
+		math.Float64bits(a.Sum) == math.Float64bits(b.Sum)
+}
+
+func mustJSON(t *testing.T, v any, err error) string {
+	t.Helper()
+	if err != nil {
+		return "error: " + err.Error()
+	}
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// TestRawTierLastValueWins pins the one place the (t, v) raw tier
+// differs from the 40-byte bucket ring it replaced: a second sample in
+// the same millisecond replaces the first instead of averaging into a
+// Count-2 bucket. Run's ticker never scrapes twice in one millisecond.
+func TestRawTierLastValueWins(t *testing.T) {
+	r := newRing(0, 4)
+	ref := &refRing{pts: make([]Point, 4)}
+	for _, v := range []float64{1, 3} {
+		r.observe(1000, v)
+		ref.observe(1000, v)
+	}
+	r.observe(2000, 5)
+	var got []Point
+	r.scan(0, math.MaxInt64, func(p Point) { got = append(got, p) })
+	want := []Point{{T: 1000, Min: 3, Max: 3, Sum: 3, Count: 1}, {T: 2000, Min: 5, Max: 5, Sum: 5, Count: 1}}
+	if len(got) != 2 || got[0] != want[0] || got[1] != want[1] {
+		t.Fatalf("raw tier = %+v, want %+v", got, want)
+	}
+	if old := ref.pts[0]; old.Count != 2 || old.Sum != 4 {
+		t.Fatalf("reference bucket = %+v, want the Count-2 average the bucket ring kept", old)
+	}
+}
+
+// TestBucketStart pins the output-bucket arithmetic to the index form
+// it replaced, (t-from)/step*step+from, wherever that form does not
+// overflow, and checks it stays inside [from, t] where it would.
+func TestBucketStart(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 100_000; i++ {
+		from := 1_700_000_000_000 + rng.Int63n(1e9) - 5e8
+		step := 1 + rng.Int63n(200_000)
+		tMS := from - step + 1 + rng.Int63n(1e9)
+		if want := from + (tMS-from)/step*step; bucketStart(tMS, from, step) != want {
+			t.Fatalf("bucketStart(%d, %d, %d) = %d, want %d", tMS, from, step, bucketStart(tMS, from, step), want)
+		}
+	}
+	for _, c := range [][3]int64{
+		{1_700_000_000_000, math.MinInt64, 1},
+		{1_700_000_000_000, math.MinInt64, 15_000},
+		{math.MaxInt64, math.MinInt64, 3},
+		{math.MaxInt64, math.MinInt64, math.MaxInt64},
+	} {
+		got := bucketStart(c[0], c[1], c[2])
+		if got < c[1] || got > c[0] || uint64(c[0]-got) >= uint64(c[2]) {
+			t.Fatalf("bucketStart(%d, %d, %d) = %d, outside its step", c[0], c[1], c[2], got)
+		}
+	}
 }
