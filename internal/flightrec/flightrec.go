@@ -9,7 +9,7 @@
 // alert fires), the operator gets the event sequence and metric history
 // leading up to the trigger, stamped with the build and run manifest that
 // produced them, in a single file that reproduces the moment. Recording
-// costs one mutex-guarded ring write per event, so it stays on in
+// costs one mutex-guarded obs.Ring add per event, so it stays on in
 // production.
 package flightrec
 
@@ -108,9 +108,7 @@ type Config struct {
 type Recorder struct {
 	mu         sync.Mutex
 	cfg        Config
-	events     []obs.Event
-	eNext      int
-	eFull      bool
+	events     *obs.Ring[obs.Event]
 	seq        int
 	lastDump   time.Time
 	panicStack string
@@ -126,7 +124,7 @@ func New(cfg Config) *Recorder {
 	}
 	r := &Recorder{
 		cfg:    cfg,
-		events: make([]obs.Event, eventDepth),
+		events: obs.NewRing[obs.Event](eventDepth, 0),
 	}
 	r.mIncident = cfg.Registry.Counter(IncidentsMetric)
 	r.mSuppress = cfg.Registry.Counter(SuppressedMetric)
@@ -139,22 +137,8 @@ func (r *Recorder) RecordEvent(e obs.Event) {
 		return
 	}
 	r.mu.Lock()
-	r.events[r.eNext] = e
-	r.eNext = (r.eNext + 1) % len(r.events)
-	if r.eNext == 0 {
-		r.eFull = true
-	}
+	r.events.Add(e, 0, false)
 	r.mu.Unlock()
-}
-
-// ringSlice returns ring contents oldest-first.
-func ringSlice[T any](buf []T, next int, full bool) []T {
-	if !full {
-		return append([]T(nil), buf[:next]...)
-	}
-	out := make([]T, 0, len(buf))
-	out = append(out, buf[next:]...)
-	return append(out, buf[:next]...)
 }
 
 // Snapshot freezes the recorder's current ring (oldest-first) without
@@ -163,13 +147,35 @@ func (r *Recorder) Snapshot() Incident {
 	if r == nil {
 		return Incident{Reason: "snapshot"}
 	}
+	inc, _ := r.incident("snapshot", false, false)
+	return inc
+}
+
+// incident freezes the ring, then fills in the metrics and the hooks'
+// payloads off-lock. A dump claims the next incident number and restarts
+// the cooldown; a gated dump first refuses (false) inside the cooldown or
+// past the cap. The check and the claim share one critical section, so
+// two triggers inside one cooldown cannot both write.
+func (r *Recorder) incident(reason string, dump, gated bool) (Incident, bool) {
 	r.mu.Lock()
+	if gated && (r.seq >= maxIncidents ||
+		(!r.lastDump.IsZero() && time.Since(r.lastDump) < dumpCooldown)) {
+		r.mu.Unlock()
+		return Incident{}, false
+	}
+	if dump {
+		r.seq++
+		r.lastDump = time.Now()
+	}
 	inc := Incident{
-		Reason:     "snapshot",
+		Reason:     reason,
 		Seq:        r.seq,
 		TimeUnixMS: time.Now().UnixMilli(),
 		Manifest:   r.cfg.Manifest,
-		Events:     ringSlice(r.events, r.eNext, r.eFull),
+		Events:     r.events.Items(),
+	}
+	if dump {
+		inc.Stack = r.panicStack
 	}
 	r.mu.Unlock()
 	build := obs.Build()
@@ -184,7 +190,7 @@ func (r *Recorder) Snapshot() Incident {
 	if r.cfg.Profile != nil {
 		inc.Profile = r.cfg.Profile()
 	}
-	return inc
+	return inc, true
 }
 
 // Dump writes an incident file unconditionally (no cooldown, no cap) and
@@ -196,36 +202,16 @@ func (r *Recorder) Dump(reason string) (string, error) {
 	if r.cfg.Dir == "" {
 		return "", fmt.Errorf("flightrec: no incident directory configured")
 	}
-	r.mu.Lock()
-	r.seq++
-	seq := r.seq
-	r.lastDump = time.Now()
-	inc := Incident{
-		Reason:     reason,
-		Seq:        seq,
-		TimeUnixMS: time.Now().UnixMilli(),
-		Manifest:   r.cfg.Manifest,
-		Events:     ringSlice(r.events, r.eNext, r.eFull),
-		Stack:      r.panicStack,
-	}
-	r.mu.Unlock()
-	build := obs.Build()
-	inc.Build = &build
-	inc.Metrics = r.cfg.Registry.Snapshot()
-	if r.cfg.History != nil {
-		inc.History = r.cfg.History()
-	}
-	if r.cfg.Trace != nil {
-		inc.Trace = r.cfg.Trace()
-	}
-	if r.cfg.Profile != nil {
-		inc.Profile = r.cfg.Profile()
-	}
+	inc, _ := r.incident(reason, true, false)
+	return r.write(inc)
+}
 
+// write stores inc as the next incident file and returns its path.
+func (r *Recorder) write(inc Incident) (string, error) {
 	if err := os.MkdirAll(r.cfg.Dir, 0o755); err != nil {
 		return "", fmt.Errorf("flightrec: %w", err)
 	}
-	path := filepath.Join(r.cfg.Dir, fmt.Sprintf("incident-%04d-%s.json", seq, sanitize(reason)))
+	path := filepath.Join(r.cfg.Dir, fmt.Sprintf("incident-%04d-%s.json", inc.Seq, sanitize(inc.Reason)))
 	data, err := json.MarshalIndent(inc, "", "  ")
 	if err != nil {
 		return "", fmt.Errorf("flightrec: encoding incident: %w", err)
@@ -234,7 +220,7 @@ func (r *Recorder) Dump(reason string) (string, error) {
 		return "", fmt.Errorf("flightrec: %w", err)
 	}
 	r.mIncident.Inc()
-	obs.Log().Warn("flight recorder incident dumped", "reason", reason, "path", path)
+	obs.Log().Warn("flight recorder incident dumped", "reason", inc.Reason, "path", path)
 	return path, nil
 }
 
@@ -246,15 +232,12 @@ func (r *Recorder) TryDump(reason string) string {
 	if r == nil || r.cfg.Dir == "" {
 		return ""
 	}
-	r.mu.Lock()
-	suppressed := r.seq >= maxIncidents ||
-		(!r.lastDump.IsZero() && time.Since(r.lastDump) < dumpCooldown)
-	r.mu.Unlock()
-	if suppressed {
+	inc, ok := r.incident(reason, true, true)
+	if !ok {
 		r.mSuppress.Inc()
 		return ""
 	}
-	path, err := r.Dump(reason)
+	path, err := r.write(inc)
 	if err != nil {
 		obs.Log().Error("flight recorder dump failed", "reason", reason, "err", err.Error())
 		return ""

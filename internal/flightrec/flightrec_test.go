@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -84,6 +85,73 @@ func TestTryDumpCooldownAndCap(t *testing.T) {
 	r2.lastDump = r2.lastDump.Add(-dumpCooldown)
 	if p := r2.TryDump("over-cap"); p != "" {
 		t.Fatalf("cap did not suppress: %q", p)
+	}
+}
+
+// TestTryDumpConcurrentTriggersWriteOne: triggers released together onto
+// a fresh recorder write one incident inside the cooldown, and with the
+// sequence at the cap minus one they write exactly one more.
+func TestTryDumpConcurrentTriggersWriteOne(t *testing.T) {
+	trigger := func(r *Recorder) {
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				r.TryDump("alarm")
+			}()
+		}
+		close(start)
+		wg.Wait()
+	}
+	for trial := 0; trial < 300; trial++ {
+		dir, reg := t.TempDir(), obs.NewRegistry()
+		r := New(Config{Dir: dir, Registry: reg})
+		trigger(r)
+		files, _ := filepath.Glob(filepath.Join(dir, "incident-*.json"))
+		if len(files) != 1 {
+			t.Fatalf("trial %d: %d incidents inside one cooldown, want 1", trial, len(files))
+		}
+		r.seq, r.lastDump = maxIncidents-1, time.Time{}
+		trigger(r)
+		files, _ = filepath.Glob(filepath.Join(dir, "incident-*.json"))
+		if len(files) != 2 || r.seq != maxIncidents {
+			t.Fatalf("trial %d: at the cap minus one, %d incidents and seq %d, want 2 and %d",
+				trial, len(files), r.seq, maxIncidents)
+		}
+		if got := reg.Counter(SuppressedMetric).Value(); got != 14 {
+			t.Fatalf("trial %d: suppressed = %d, want 14", trial, got)
+		}
+	}
+}
+
+// TestRecordEventZeroAlloc: once the event ring is full, recording an
+// event allocates nothing.
+func TestRecordEventZeroAlloc(t *testing.T) {
+	r := New(Config{Registry: obs.NewRegistry()})
+	e := obs.Event{Type: "ingest_alarm", Sample: "tenant-00", Window: 7, Value: 1}
+	for i := 0; i < eventDepth; i++ {
+		r.RecordEvent(e)
+	}
+	if n := testing.AllocsPerRun(1000, func() { r.RecordEvent(e) }); n != 0 {
+		t.Fatalf("RecordEvent on a full ring allocates %.1f/op, want 0", n)
+	}
+}
+
+// BenchmarkRecordEvent prices one event into a full ring, the flight
+// recorder's cost per bus event.
+func BenchmarkRecordEvent(b *testing.B) {
+	r := New(Config{Registry: obs.NewRegistry()})
+	e := obs.Event{Type: "ingest_alarm", Sample: "tenant-00", Window: 7, Value: 1}
+	for i := 0; i < eventDepth; i++ {
+		r.RecordEvent(e)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.RecordEvent(e)
 	}
 }
 

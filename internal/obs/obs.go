@@ -4,9 +4,10 @@
 // JSON snapshots and Prometheus text exposition (WritePrometheus),
 // lightweight spans that assemble a per-run timing tree exportable as
 // Chrome trace-event JSON (WriteChromeTrace), a bounded drop-oldest
-// detection-event bus (Bus) for live streaming, build identity
-// (BuildInfo), and run manifests that make every generated artifact
-// auditable.
+// detection-event bus (Bus) for live streaming, the bounded drop-oldest
+// store of recent items (Ring) under request traces, profile captures and
+// event histories, build identity (BuildInfo), and run manifests that
+// make every generated artifact auditable.
 //
 // The package is dependency-free (stdlib only) and nop-by-default: the
 // default logger is disabled until a front end installs one, and a

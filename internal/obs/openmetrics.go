@@ -3,7 +3,6 @@ package obs
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
@@ -21,63 +20,7 @@ const OpenMetricsContentType = "application/openmetrics-text; version=1.0.0; cha
 // The caller owns the terminating `# EOF` line: the telemetry server
 // appends its synthetic build-info/uptime families first, then
 // terminates the exposition.
-func WriteOpenMetrics(w io.Writer, s Snapshot) error {
-	var b strings.Builder
-
-	names := make([]string, 0, len(s.Counters))
-	for n := range s.Counters {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		pn := promName(n)
-		fmt.Fprintf(&b, "# TYPE %s counter\n%s_total %d\n", pn, pn, s.Counters[n])
-	}
-
-	names = names[:0]
-	for n := range s.Gauges {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		pn := promName(n)
-		fmt.Fprintf(&b, "# TYPE %s gauge\n%s %s\n", pn, pn, promFloat(s.Gauges[n]))
-	}
-
-	names = names[:0]
-	for n := range s.Histograms {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		h := s.Histograms[n]
-		pn := promName(n)
-		// Index exemplars by bucket for the cumulative walk below.
-		var ex map[int]Exemplar
-		if len(h.Exemplars) > 0 {
-			ex = make(map[int]Exemplar, len(h.Exemplars))
-			for _, e := range h.Exemplars {
-				ex[e.Bucket] = e
-			}
-		}
-		fmt.Fprintf(&b, "# TYPE %s histogram\n", pn)
-		var cum int64
-		for i, bound := range h.Buckets {
-			cum += h.Counts[i]
-			fmt.Fprintf(&b, "%s_bucket{le=%s} %d", pn, QuoteLabel(promFloat(bound)), cum)
-			writeExemplar(&b, ex, i)
-			b.WriteByte('\n')
-		}
-		fmt.Fprintf(&b, "%s_bucket{le=\"+Inf\"} %d", pn, h.Count)
-		writeExemplar(&b, ex, len(h.Buckets))
-		b.WriteByte('\n')
-		fmt.Fprintf(&b, "%s_sum %s\n", pn, promFloat(h.Sum))
-		fmt.Fprintf(&b, "%s_count %d\n", pn, h.Count)
-	}
-
-	_, err := io.WriteString(w, b.String())
-	return err
-}
+func WriteOpenMetrics(w io.Writer, s Snapshot) error { return writeExposition(w, s, true) }
 
 // writeExemplar appends the OpenMetrics exemplar clause for bucket i when
 // one was recorded: ` # {trace_id="..."} value timestamp-seconds`.

@@ -138,29 +138,18 @@ type ReqTracer struct {
 	slowNS    int64
 	threshold uint64 // head-sample threshold in [0, MaxUint64]
 	maxBytes  int64
-	// maxTraces and maxSpans hold the package constants; in-package
-	// tests shrink them to reach eviction with a handful of traces.
-	maxTraces int
-	maxSpans  int
+	// maxSpans holds the package constant; in-package tests shrink it.
+	maxSpans int
 
-	mu    sync.Mutex
-	ring  []*ringEntry // oldest first
-	bytes int64
+	mu   sync.Mutex
+	ring *Ring[ReqTraceSnapshot] // tail-kept traces pinned
 
-	started  atomic.Int64
-	retained atomic.Int64
-	evicted  atomic.Int64
+	started atomic.Int64
 
 	cStarted  *Counter
 	cRetained *Counter
 	cEvicted  *Counter
 	gBytes    *Gauge
-}
-
-type ringEntry struct {
-	snap  ReqTraceSnapshot
-	bytes int64
-	kept  bool
 }
 
 // NewReqTracer builds a tracer from cfg (see ReqTracerConfig for the
@@ -170,7 +159,6 @@ func NewReqTracer(cfg ReqTracerConfig) *ReqTracer {
 		slowNS:    int64(cfg.SlowThreshold),
 		threshold: headThreshold(cfg.HeadRatio),
 		maxBytes:  cfg.MaxBytes,
-		maxTraces: maxTraces,
 		maxSpans:  maxSpans,
 	}
 	if rt.slowNS == 0 {
@@ -179,6 +167,7 @@ func NewReqTracer(cfg ReqTracerConfig) *ReqTracer {
 	if rt.maxBytes <= 0 {
 		rt.maxBytes = 4 << 20
 	}
+	rt.ring = NewRing[ReqTraceSnapshot](maxTraces, rt.maxBytes)
 	if cfg.Registry != nil {
 		rt.cStarted = cfg.Registry.Counter(ReqTraceStartedMetric)
 		rt.cRetained = cfg.Registry.Counter(ReqTraceRetainedMetric)
@@ -240,12 +229,7 @@ func (rt *ReqTracer) Get(id string) (ReqTraceSnapshot, bool) {
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	for i := len(rt.ring) - 1; i >= 0; i-- {
-		if rt.ring[i].snap.TraceID == id {
-			return rt.ring[i].snap, true
-		}
-	}
-	return ReqTraceSnapshot{}, false
+	return rt.ring.Newest(func(s *ReqTraceSnapshot) bool { return s.TraceID == id })
 }
 
 // List returns summaries of retained traces matching f, newest first.
@@ -255,9 +239,9 @@ func (rt *ReqTracer) List(f ReqTraceFilter) []ReqTraceSummary {
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	out := make([]ReqTraceSummary, 0, len(rt.ring))
-	for i := len(rt.ring) - 1; i >= 0; i-- {
-		s := &rt.ring[i].snap
+	out := make([]ReqTraceSummary, 0, rt.ring.Len())
+	for i := rt.ring.Len() - 1; i >= 0; i-- {
+		s := rt.ring.At(i)
 		if f.Tenant != "" && s.Tenant != f.Tenant {
 			continue
 		}
@@ -294,16 +278,9 @@ func (rt *ReqTracer) LastKept(reason string) (ReqTraceSnapshot, bool) {
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	for i := len(rt.ring) - 1; i >= 0; i-- {
-		s := &rt.ring[i].snap
-		if s.KeepReason == "" {
-			continue
-		}
-		if reason == "" || s.KeepReason == reason {
-			return *s, true
-		}
-	}
-	return ReqTraceSnapshot{}, false
+	return rt.ring.Newest(func(s *ReqTraceSnapshot) bool {
+		return s.KeepReason != "" && (reason == "" || s.KeepReason == reason)
+	})
 }
 
 // Stats reports lifetime counters and current ring occupancy.
@@ -312,48 +289,27 @@ func (rt *ReqTracer) Stats() ReqTraceStats {
 		return ReqTraceStats{}
 	}
 	rt.mu.Lock()
-	traces, bytes := len(rt.ring), rt.bytes
-	rt.mu.Unlock()
+	defer rt.mu.Unlock()
 	return ReqTraceStats{
 		Started:  rt.started.Load(),
-		Retained: rt.retained.Load(),
-		Evicted:  rt.evicted.Load(),
-		Traces:   traces,
-		Bytes:    bytes,
+		Retained: rt.ring.Added(),
+		Evicted:  rt.ring.Evicted(),
+		Traces:   rt.ring.Len(),
+		Bytes:    rt.ring.Bytes(),
 		MaxBytes: rt.maxBytes,
 	}
 }
 
-// retain commits one completed trace, evicting oldest traces — non-kept
-// before tail-kept — until the ring fits its count and byte budgets.
-func (rt *ReqTracer) retain(snap ReqTraceSnapshot, kept bool) {
-	e := &ringEntry{snap: snap, kept: kept, bytes: estimateTraceBytes(&snap)}
+// retain commits one completed trace to the ring, where tail-kept traces
+// are pinned: the oldest unkept trace is evicted first.
+func (rt *ReqTracer) retain(snap ReqTraceSnapshot) {
 	rt.mu.Lock()
-	rt.ring = append(rt.ring, e)
-	rt.bytes += e.bytes
-	var evicted int64
-	for len(rt.ring) > 1 && (rt.bytes > rt.maxBytes || len(rt.ring) > rt.maxTraces) {
-		drop := -1
-		for i, r := range rt.ring {
-			if !r.kept {
-				drop = i
-				break
-			}
-		}
-		if drop < 0 {
-			drop = 0 // every retained trace is tail-kept: sacrifice the oldest
-		}
-		rt.bytes -= rt.ring[drop].bytes
-		rt.ring = append(rt.ring[:drop], rt.ring[drop+1:]...)
-		evicted++
-	}
-	bytes := rt.bytes
+	evicted := rt.ring.Add(snap, estimateTraceBytes(&snap), snap.KeepReason != "")
+	bytes := rt.ring.Bytes()
 	rt.mu.Unlock()
-	rt.retained.Add(1)
 	rt.cRetained.Inc()
 	if evicted > 0 {
-		rt.evicted.Add(evicted)
-		rt.cEvicted.Add(evicted)
+		rt.cEvicted.Add(int64(evicted))
 	}
 	rt.gBytes.Set(float64(bytes))
 }
@@ -543,5 +499,5 @@ func (at *ActiveTrace) commitLocked() {
 		putHex(b[:], at.parent)
 		snap.ParentSpanID = string(b[:])
 	}
-	at.tracer.retain(snap, keep != "")
+	at.tracer.retain(snap)
 }

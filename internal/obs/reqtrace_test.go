@@ -127,7 +127,7 @@ func TestReqTracerPendingProtocol(t *testing.T) {
 func TestReqTracerEviction(t *testing.T) {
 	reg := NewRegistry()
 	rt := NewReqTracer(ReqTracerConfig{HeadRatio: 1, Registry: reg})
-	rt.maxTraces = 4
+	rt.ring = NewRing[ReqTraceSnapshot](4, rt.maxBytes)
 	var keptID string
 	for i := 0; i < 12; i++ {
 		at := rt.Sample(TraceContext{}, "ingest", "acme", 0)
@@ -167,6 +167,33 @@ func TestReqTracerEviction(t *testing.T) {
 	}
 	if st := small.Stats(); st.Bytes > st.MaxBytes || st.Evicted == 0 {
 		t.Fatalf("byte budget not enforced: %+v", st)
+	}
+}
+
+// TestReqTracerNewestUnkeptLands: with every retained trace tail-kept,
+// an unkept trace that commits over the bound still lands, so the
+// trace_id its receipt returned resolves, and the oldest kept trace goes.
+func TestReqTracerNewestUnkeptLands(t *testing.T) {
+	rt := NewReqTracer(ReqTracerConfig{HeadRatio: 1})
+	var oldest string
+	for i := 0; i < maxTraces; i++ {
+		at := rt.Sample(TraceContext{}, "ingest", "acme", 0)
+		at.Keep("alarm")
+		if i == 0 {
+			oldest = at.TraceID()
+		}
+		endTrace(at, 1)
+	}
+	at := rt.Sample(TraceContext{}, "ingest", "acme", 0)
+	endTrace(at, 1)
+	if _, ok := rt.Get(at.TraceID()); !ok {
+		t.Fatal("the newest unkept trace was evicted as it committed")
+	}
+	if _, ok := rt.Get(oldest); ok {
+		t.Fatal("the oldest kept trace survived a commit over the bound")
+	}
+	if st := rt.Stats(); st.Traces != maxTraces || st.Evicted != 1 {
+		t.Fatalf("stats = %+v, want %d traces and 1 eviction", st, maxTraces)
 	}
 }
 

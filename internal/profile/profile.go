@@ -2,16 +2,16 @@
 // every long-running command. A background sampler takes a short CPU
 // profile each interval (the duty cycle — e.g. 10 s of profiling out of
 // every 60 s keeps steady-state overhead near the profiling cost × 1/6)
-// plus instantaneous heap/goroutine/mutex/block snapshots, and stores
-// the gzipped pprof blobs with parsed top-N summaries in a
-// byte-budgeted drop-oldest ring (see ring.go). Firing alerts and
-// online-detector alarms on the event bus trigger immediate pinned
-// captures, so the profile from the moment an incident began is
-// retrievable at GET /api/v1/profiles long after interval captures have
-// been evicted. A diff engine (diff.go) compares consecutive CPU and
-// heap summaries and publishes profile.regression bus events when a
-// function's flat share grows past a threshold, closing the loop with
-// internal/alert and internal/flightrec.
+// plus instantaneous heap and goroutine snapshots, and stores the
+// gzipped pprof blobs with parsed top-N summaries in a byte-budgeted
+// obs.Ring. Firing alerts and online-detector alarms on the event bus
+// trigger immediate captures, pinned in the ring, so the profile from
+// the moment an incident began is retrievable at GET /api/v1/profiles
+// long after interval captures have been evicted. A diff engine
+// (diff.go) compares consecutive CPU and heap summaries and publishes
+// profile.regression bus events when a function's flat share grows past
+// a threshold, closing the loop with internal/alert and
+// internal/flightrec.
 //
 // The runtime allows only one CPU profile at a time process-wide, so
 // every CPU-profile starter in the program — this sampler, the
@@ -37,8 +37,6 @@ const (
 	TypeCPU       = "cpu"
 	TypeHeap      = "heap"
 	TypeGoroutine = "goroutine"
-	TypeMutex     = "mutex"
-	TypeBlock     = "block"
 )
 
 // Trigger values recorded on captures.
@@ -139,8 +137,34 @@ const (
 )
 
 // snapshotTypes are the instantaneous profile types captured each cycle
-// alongside CPU.
-var snapshotTypes = []string{TypeHeap, TypeGoroutine, TypeMutex, TypeBlock}
+// alongside CPU. The mutex and block profiles stay out: nothing sets
+// their sampling rates, so they never hold a sample, and turning the
+// rates on would sample every contended lock on the ingest path.
+var snapshotTypes = []string{TypeHeap, TypeGoroutine}
+
+// capture is one stored profile: immutable metadata plus the raw
+// (gzipped pprof) blob.
+type capture struct {
+	info CaptureInfo
+	blob []byte
+}
+
+// CaptureInfo is the API-visible metadata of one capture.
+type CaptureInfo struct {
+	ID string `json:"id"`
+	// Type is one of "cpu", "heap", "goroutine".
+	Type string `json:"type"`
+	// Trigger records why the capture happened: "interval" for the
+	// background duty cycle, otherwise the bus event type ("alert",
+	// "alarm") or "manual".
+	Trigger    string `json:"trigger"`
+	TimeUnixMS int64  `json:"t_ms"`
+	SizeBytes  int    `json:"size_bytes"`
+	// Pinned captures survive ring eviction ahead of interval captures.
+	Pinned bool `json:"pinned,omitempty"`
+	// Summary is the parsed top-N view; nil when parsing failed.
+	Summary *Summary `json:"summary,omitempty"`
+}
 
 // Profiler owns the capture ring and the background sampler. All
 // methods are safe for concurrent use and safe on a nil receiver, so
@@ -149,14 +173,12 @@ type Profiler struct {
 	cfg Config
 
 	mu       sync.Mutex
-	ring     ring
+	ring     *obs.Ring[capture] // byte-budgeted; triggered captures pinned
 	seq      int64
 	prev     map[string]*Summary  // last summary per diffed type
 	counts   map[string]int64     // "type|trigger" -> captures
 	lastTrig map[string]time.Time // per-reason cooldown clocks
 	pending  []string             // queued trigger reasons, deduped
-	captures int64
-	dropped  int64
 	regress  int64
 	errors   int64
 
@@ -179,12 +201,12 @@ func New(cfg Config) *Profiler {
 	cfg = cfg.withDefaults()
 	p := &Profiler{
 		cfg:      cfg,
+		ring:     obs.NewRing[capture](0, cfg.Budget),
 		prev:     map[string]*Summary{},
 		counts:   map[string]int64{},
 		lastTrig: map[string]time.Time{},
 		trigSig:  make(chan struct{}, 1),
 	}
-	p.ring.budget = cfg.Budget
 	p.mDropped = cfg.Registry.Counter(DroppedMetric)
 	p.mRegress = cfg.Registry.Counter(RegressionsMetric)
 	p.mErrors = cfg.Registry.Counter(ErrorsMetric)
@@ -410,32 +432,27 @@ func (p *Profiler) store(typ, trigger string, pinned bool, blob []byte) {
 
 	p.mu.Lock()
 	p.seq++
-	c := &capture{
-		info: CaptureInfo{
-			ID:         fmt.Sprintf("%s-%06d", typ, p.seq),
-			Type:       typ,
-			Trigger:    trigger,
-			TimeUnixMS: time.Now().UnixMilli(),
-			SizeBytes:  len(blob),
-			Pinned:     pinned,
-			Summary:    summary,
-		},
-		blob: blob,
+	info := CaptureInfo{
+		ID:         fmt.Sprintf("%s-%06d", typ, p.seq),
+		Type:       typ,
+		Trigger:    trigger,
+		TimeUnixMS: time.Now().UnixMilli(),
+		SizeBytes:  len(blob),
+		Pinned:     pinned,
+		Summary:    summary,
 	}
-	dropped := p.ring.add(c)
-	p.captures++
-	p.dropped += int64(dropped)
+	dropped := p.ring.Add(capture{info: info, blob: blob}, int64(len(blob)), pinned)
 	p.counts[typ+"|"+trigger]++
 	var regs []Regression
 	if summary != nil && (typ == TypeCPU || typ == TypeHeap) {
 		regs = diffSummaries(typ, p.prev[typ], summary, regressionPts)
 		for i := range regs {
-			regs[i].CaptureID = c.info.ID
+			regs[i].CaptureID = info.ID
 		}
 		p.prev[typ] = summary
 		p.regress += int64(len(regs))
 	}
-	ringBytes, ringCount := p.ring.bytes, len(p.ring.caps)
+	ringBytes, ringCount := p.ring.Bytes(), p.ring.Len()
 	p.mu.Unlock()
 
 	p.mDropped.Add(int64(dropped))
@@ -466,7 +483,18 @@ func (p *Profiler) List(typ, trigger string, limit int) []CaptureInfo {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.ring.list(typ, trigger, limit)
+	out := make([]CaptureInfo, 0, p.ring.Len())
+	for i := p.ring.Len() - 1; i >= 0; i-- {
+		info := p.ring.At(i).info
+		if (typ != "" && info.Type != typ) || (trigger != "" && info.Trigger != trigger) {
+			continue
+		}
+		out = append(out, info)
+		if limit > 0 && len(out) >= limit {
+			break
+		}
+	}
+	return out
 }
 
 // Get returns one capture's metadata and raw gzipped pprof blob.
@@ -476,10 +504,8 @@ func (p *Profiler) Get(id string) (CaptureInfo, []byte, bool) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if c := p.ring.get(id); c != nil {
-		return c.info, c.blob, true
-	}
-	return CaptureInfo{}, nil, false
+	c, ok := p.ring.Newest(func(c *capture) bool { return c.info.ID == id })
+	return c.info, c.blob, ok
 }
 
 // Latest returns the newest capture of the given type — the flightrec
@@ -490,10 +516,8 @@ func (p *Profiler) Latest(typ string) (CaptureInfo, bool) {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if c := p.ring.latest(typ); c != nil {
-		return c.info, true
-	}
-	return CaptureInfo{}, false
+	c, ok := p.ring.Newest(func(c *capture) bool { return c.info.Type == typ })
+	return c.info, ok
 }
 
 // CaptureCount is one (type, trigger) cell of the captures-by-cause
@@ -530,10 +554,10 @@ func (p *Profiler) Stats() Stats {
 		IntervalMS:   p.cfg.Interval.Milliseconds(),
 		DutyMS:       p.cfg.Duty.Milliseconds(),
 		BudgetBytes:  p.cfg.Budget,
-		RingBytes:    p.ring.bytes,
-		RingCaptures: len(p.ring.caps),
-		Captures:     p.captures,
-		Dropped:      p.dropped,
+		RingBytes:    p.ring.Bytes(),
+		RingCaptures: p.ring.Len(),
+		Captures:     p.ring.Added(),
+		Dropped:      p.ring.Evicted(),
 		Regressions:  p.regress,
 		Errors:       p.errors,
 	}

@@ -28,7 +28,7 @@ func TestCycleNowStoresAllTypes(t *testing.T) {
 	p := testProfiler(t, nil)
 	p.CycleNow("")
 
-	want := []string{TypeCPU, TypeHeap, TypeGoroutine, TypeMutex, TypeBlock}
+	want := []string{TypeCPU, TypeHeap, TypeGoroutine}
 	all := p.List("", "", 0)
 	if len(all) != len(want) {
 		t.Fatalf("captures = %+v, want %d types", all, len(want))
@@ -80,7 +80,7 @@ func TestBusEventTriggersPinnedCapture(t *testing.T) {
 
 	// Wait out the immediate first cycle so the trigger's captures are
 	// distinguishable.
-	waitFor(t, func() bool { return p.Stats().Captures >= 5 })
+	waitFor(t, func() bool { return p.Stats().Captures >= int64(1+len(snapshotTypes)) })
 
 	bus.Publish(obs.Event{Type: "alert", Msg: "rule fired"})
 	// The triggered cycle stores one capture per configured type; wait for
@@ -113,7 +113,7 @@ func TestTriggeredWindowKeepsItsReason(t *testing.T) {
 	})
 	stop := p.Start()
 	defer stop()
-	waitFor(t, func() bool { return p.Stats().Captures >= 5 })
+	waitFor(t, func() bool { return p.Stats().Captures >= int64(1+len(snapshotTypes)) })
 
 	p.TriggerCapture("alert")
 	// The run loop has popped the alert: its CPU window is starting.
@@ -126,6 +126,35 @@ func TestTriggeredWindowKeepsItsReason(t *testing.T) {
 	waitFor(t, func() bool { return len(p.List(TypeCPU, "alarm", 0)) == 1 })
 	if got := p.List(TypeCPU, "alert", 0); len(got) != 1 || !got[0].Pinned {
 		t.Fatalf("alert cpu captures = %+v, want one pinned", got)
+	}
+}
+
+// TestRingListFilters exercises the type/trigger/limit filters and the
+// newest-first ordering behind GET /api/v1/profiles.
+func TestRingListFilters(t *testing.T) {
+	p := testProfiler(t, nil)
+	add := func(id, typ, trigger string) {
+		p.ring.Add(capture{info: CaptureInfo{ID: id, Type: typ, Trigger: trigger}, blob: []byte{0}}, 1, false)
+	}
+	add("cpu1", TypeCPU, TriggerInterval)
+	add("heap1", TypeHeap, TriggerInterval)
+	add("cpu2", TypeCPU, "alert")
+	add("cpu3", TypeCPU, TriggerInterval)
+
+	all := p.List("", "", 0)
+	if len(all) != 4 || all[0].ID != "cpu3" || all[3].ID != "cpu1" {
+		t.Fatalf("list all = %+v, want newest-first cpu3..cpu1", all)
+	}
+	cpus := p.List(TypeCPU, "", 0)
+	if len(cpus) != 3 {
+		t.Fatalf("type filter: got %d, want 3", len(cpus))
+	}
+	alerts := p.List("", "alert", 0)
+	if len(alerts) != 1 || alerts[0].ID != "cpu2" {
+		t.Fatalf("trigger filter = %+v, want [cpu2]", alerts)
+	}
+	if lim := p.List(TypeCPU, "", 2); len(lim) != 2 || lim[0].ID != "cpu3" {
+		t.Fatalf("limit filter = %+v", lim)
 	}
 }
 

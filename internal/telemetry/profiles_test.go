@@ -57,10 +57,10 @@ func TestProfilesList(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &out); err != nil {
 		t.Fatal(err)
 	}
-	if len(out.Profiles) != 10 { // 2 cycles x (cpu + 4 snapshots)
-		t.Fatalf("profiles = %d, want 10", len(out.Profiles))
+	if len(out.Profiles) != 6 { // 2 cycles x (cpu + heap + goroutine)
+		t.Fatalf("profiles = %d, want 6", len(out.Profiles))
 	}
-	if out.Stats.Captures != 10 || len(out.Stats.ByCause) == 0 {
+	if out.Stats.Captures != 6 || len(out.Stats.ByCause) == 0 {
 		t.Fatalf("stats = %+v", out.Stats)
 	}
 
@@ -149,7 +149,7 @@ func TestMetricsProfileSeries(t *testing.T) {
 		`profile_captures_total{type="cpu",trigger="alert"} 1`,
 		`profile_captures_total{type="heap",trigger="alert"} 1`,
 		"profile_ring_bytes ",
-		"profile_ring_captures 10",
+		"profile_ring_captures 6",
 		"# TYPE profile_dropped_total counter",
 		"profile_dropped_total 0",
 	} {

@@ -321,10 +321,9 @@ func (s *Server) SetModels(fn func() []ModelInfo) {
 //
 //	GET /api/v1/profiles                capture metadata newest-first,
 //	                                    filterable by ?type= (cpu, heap,
-//	                                    goroutine, mutex, block),
-//	                                    ?trigger= (interval, alert,
-//	                                    alarm, manual), ?limit=N; plus
-//	                                    profiler stats
+//	                                    goroutine), ?trigger= (interval,
+//	                                    alert, alarm, manual), ?limit=N;
+//	                                    plus profiler stats
 //	GET /api/v1/profiles/{id}           the raw gzipped pprof blob —
 //	                                    `go tool pprof` reads it directly
 //	GET /api/v1/profiles/{id}?summary=1 the parsed top-N flat/cum JSON
@@ -748,22 +747,13 @@ func (s *Server) handleBuildInfo(w http.ResponseWriter, _ *http.Request) {
 // 0.0.4 output is byte-for-byte what it was before exemplars existed —
 // the exposition golden tests pin it.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	if strings.Contains(r.Header.Get("Accept"), "application/openmetrics-text") {
-		w.Header().Set("Content-Type", obs.OpenMetricsContentType)
-		if err := obs.WriteOpenMetrics(w, s.cfg.registry.Snapshot()); err != nil {
-			return
-		}
-		bi := obs.Build()
-		fmt.Fprintf(w, "# TYPE hpcmal_build_info gauge\nhpcmal_build_info{version=%s,revision=%s,go=%s} 1\n",
-			obs.QuoteLabel(bi.Version), obs.QuoteLabel(bi.Revision), obs.QuoteLabel(bi.GoVersion))
-		fmt.Fprintf(w, "# TYPE hpcmal_uptime_seconds gauge\nhpcmal_uptime_seconds %g\n",
-			time.Since(s.started).Seconds())
-		s.writeProfileCaptures(w, true)
-		fmt.Fprint(w, "# EOF\n")
-		return
+	om := strings.Contains(r.Header.Get("Accept"), "application/openmetrics-text")
+	write, contentType := obs.WritePrometheus, "text/plain; version=0.0.4; charset=utf-8"
+	if om {
+		write, contentType = obs.WriteOpenMetrics, obs.OpenMetricsContentType
 	}
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	if err := obs.WritePrometheus(w, s.cfg.registry.Snapshot()); err != nil {
+	w.Header().Set("Content-Type", contentType)
+	if err := write(w, s.cfg.registry.Snapshot()); err != nil {
 		return
 	}
 	bi := obs.Build()
@@ -771,7 +761,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		obs.QuoteLabel(bi.Version), obs.QuoteLabel(bi.Revision), obs.QuoteLabel(bi.GoVersion))
 	fmt.Fprintf(w, "# TYPE hpcmal_uptime_seconds gauge\nhpcmal_uptime_seconds %g\n",
 		time.Since(s.started).Seconds())
-	s.writeProfileCaptures(w, false)
+	s.writeProfileCaptures(w, om)
+	if om {
+		fmt.Fprint(w, "# EOF\n")
+	}
 }
 
 // writeProfileCaptures appends the profiler's captures-by-cause table

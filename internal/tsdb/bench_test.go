@@ -79,3 +79,17 @@ func BenchmarkQueryRange(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRecordEvent prices one event into the full history ring.
+func BenchmarkRecordEvent(b *testing.B) {
+	st := New(Config{Registry: obs.NewRegistry(), Bus: obs.NewBus()})
+	e := obs.Event{Type: "alert", Msg: "fpr-high", Value: 1}
+	for i := 0; i < eventDepth; i++ {
+		st.RecordEvent(e)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.RecordEvent(e)
+	}
+}

@@ -96,10 +96,7 @@ type Store struct {
 	mu      sync.Mutex
 	cfg     Config
 	series  map[string]*series
-	events  []obs.Event
-	eNext   int
-	eFull   bool
-	eTotal  int64
+	events  *obs.Ring[obs.Event]
 	firstMS int64
 	lastMS  int64
 
@@ -125,7 +122,7 @@ func New(cfg Config) *Store {
 	return &Store{
 		cfg:      cfg,
 		series:   map[string]*series{},
-		events:   make([]obs.Event, eventDepth),
+		events:   obs.NewRing[obs.Event](eventDepth, 0),
 		mScrapes: cfg.Registry.Counter(ScrapesMetric),
 		mSamples: cfg.Registry.Counter(SamplesMetric),
 		gSeries:  cfg.Registry.Gauge(SeriesMetric),
@@ -207,12 +204,7 @@ func (st *Store) ScrapeAt(now time.Time) {
 // for tests; Run feeds it from the bus).
 func (st *Store) RecordEvent(e obs.Event) {
 	st.mu.Lock()
-	st.events[st.eNext] = e
-	st.eNext = (st.eNext + 1) % len(st.events)
-	if st.eNext == 0 {
-		st.eFull = true
-	}
-	st.eTotal++
+	st.events.Add(e, 0, false)
 	st.mu.Unlock()
 }
 
@@ -230,12 +222,7 @@ type EventHistory struct {
 func (st *Store) Events() EventHistory {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	h := EventHistory{Total: st.eTotal, Depth: len(st.events)}
-	if st.eFull {
-		h.Events = append(h.Events, st.events[st.eNext:]...)
-	}
-	h.Events = append(h.Events, st.events[:st.eNext]...)
-	return h
+	return EventHistory{Total: st.events.Added(), Depth: eventDepth, Events: st.events.Items()}
 }
 
 // Run scrapes on the configured interval and watches the bus for

@@ -316,6 +316,19 @@ func TestEventHistoryRing(t *testing.T) {
 	}
 }
 
+// TestRecordEventZeroAlloc: once the history ring is full, recording an
+// event allocates nothing.
+func TestRecordEventZeroAlloc(t *testing.T) {
+	st := New(Config{Registry: obs.NewRegistry(), Bus: obs.NewBus()})
+	e := obs.Event{Type: "alert", Msg: "fpr-high", Value: 1}
+	for i := 0; i < eventDepth; i++ {
+		st.RecordEvent(e)
+	}
+	if n := testing.AllocsPerRun(1000, func() { st.RecordEvent(e) }); n != 0 {
+		t.Fatalf("RecordEvent on a full ring allocates %.1f/op, want 0", n)
+	}
+}
+
 func TestRunScrapesAndWatches(t *testing.T) {
 	reg := obs.NewRegistry()
 	bus := obs.NewBus()
