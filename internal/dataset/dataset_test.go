@@ -3,6 +3,7 @@ package dataset
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/trace"
@@ -230,19 +231,62 @@ func TestCSVRoundTrip(t *testing.T) {
 	}
 }
 
+// badCSV holds inputs ReadCSV must reject, each with what is wrong.
+var badCSV = []struct{ in, what string }{
+	{"", "empty csv"},
+	{"a,b\n1,2\n", "csv without class column"},
+	{"a,class\nxyz,benign\n", "non-numeric feature"},
+	{"a,class\n1,spyware\n", "unknown class"},
+}
+
 func TestReadCSVErrors(t *testing.T) {
-	if _, err := ReadCSV(bytes.NewBufferString("")); err == nil {
-		t.Fatal("accepted empty csv")
+	for _, c := range badCSV {
+		if _, err := ReadCSV(bytes.NewBufferString(c.in)); err == nil {
+			t.Fatalf("accepted %s", c.what)
+		}
 	}
-	if _, err := ReadCSV(bytes.NewBufferString("a,b\n1,2\n")); err == nil {
-		t.Fatal("accepted csv without class column")
+}
+
+// FuzzReadCSV feeds arbitrary bytes to ReadCSV, the loader behind
+// `hpcmal train -data`. It must never panic, and any table it accepts
+// must come back from WriteCSV and ReadCSV with the same attributes and
+// classes and bit-identical features (a NaN may come back as any NaN).
+func FuzzReadCSV(f *testing.F) {
+	for _, c := range badCSV {
+		f.Add([]byte(c.in))
 	}
-	if _, err := ReadCSV(bytes.NewBufferString("a,class\nxyz,benign\n")); err == nil {
-		t.Fatal("accepted non-numeric feature")
-	}
-	if _, err := ReadCSV(bytes.NewBufferString("a,class\n1,spyware\n")); err == nil {
-		t.Fatal("accepted unknown class")
-	}
+	f.Add([]byte("a,b,c,class\nNaN,+Inf,-Inf,benign\n-0,0,1e-310,worm\n"))
+	f.Add([]byte("\"x,y\",\" lead\",class\n0x1p-3,-1.5E+3,rootkit\n"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tbl, err := ReadCSV(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := tbl.WriteCSV(&buf); err != nil {
+			t.Fatalf("writing an accepted table: %v", err)
+		}
+		got, err := ReadCSV(bytes.NewReader(buf.Bytes()))
+		if err != nil {
+			t.Fatalf("reading back %q: %v", buf.Bytes(), err)
+		}
+		if !slices.Equal(got.Attributes, tbl.Attributes) || got.NumInstances() != tbl.NumInstances() {
+			t.Fatalf("round trip changed the header or row count: %q", buf.Bytes())
+		}
+		for i, in := range tbl.Instances {
+			back := got.Instances[i]
+			if back.Class != in.Class {
+				t.Fatalf("row %d: class %v came back as %v", i, in.Class, back.Class)
+			}
+			for j, v := range in.Features {
+				w := back.Features[j]
+				if math.Float64bits(w) != math.Float64bits(v) && !(math.IsNaN(v) && math.IsNaN(w)) {
+					t.Fatalf("row %d feature %d: %v (%#x) came back as %v (%#x)",
+						i, j, v, math.Float64bits(v), w, math.Float64bits(w))
+				}
+			}
+		}
+	})
 }
 
 func TestARFFRoundTripMulticlass(t *testing.T) {

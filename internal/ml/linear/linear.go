@@ -61,8 +61,23 @@ func (s *scaler) apply(row []float64, out []float64) {
 	}
 }
 
+// applyAll standardizes every row of x into one contiguous array and
+// returns row views into it.
+func (s *scaler) applyAll(x [][]float64) [][]float64 {
+	dim := len(s.mean)
+	buf := make([]float64, len(x)*dim)
+	z := make([][]float64, len(x))
+	for i, row := range x {
+		z[i] = buf[i*dim : (i+1)*dim : (i+1)*dim]
+		s.apply(row, z[i])
+	}
+	return z
+}
+
 // Logistic is multinomial logistic regression (softmax) trained with
-// mini-batch SGD and L2 regularization.
+// SGD and L2 regularization. Each row's gradient step, scaled by
+// 1/batch, is applied as soon as the row is seen; only the L2 shrink is
+// applied once per batch.
 type Logistic struct {
 	// Epochs over the training set (default 60).
 	Epochs int
@@ -129,11 +144,7 @@ func (lg *Logistic) Train(x [][]float64, y []int, numClasses int) error {
 	}
 
 	n := len(x)
-	z := make([][]float64, n)
-	for i := range x {
-		z[i] = make([]float64, dim)
-		lg.scale.apply(x[i], z[i])
-	}
+	z := lg.scale.applyAll(x)
 
 	src := rng.New(lg.Seed)
 	order := make([]int, n)
@@ -141,6 +152,7 @@ func (lg *Logistic) Train(x [][]float64, y []int, numClasses int) error {
 		order[i] = i
 	}
 	probs := make([]float64, numClasses)
+	steps := make([]float64, numClasses)
 	step := 0
 	for epoch := 0; epoch < lg.Epochs; epoch++ {
 		src.Shuffle(n, func(i, j int) { order[i], order[j] = order[j], order[i] })
@@ -159,24 +171,23 @@ func (lg *Logistic) Train(x [][]float64, y []int, numClasses int) error {
 				if lg.ClassWeights != nil {
 					sw = lg.ClassWeights[y[idx]]
 				}
-				for c := 0; c < numClasses; c++ {
+				for c := range steps {
 					g := sw * probs[c]
 					if c == y[idx] {
 						g -= sw
 					}
-					wc := lg.w[c]
-					for j, v := range row {
-						wc[j] -= scale * g * v
-					}
-					wc[dim] -= scale * g
+					// Go evaluates scale*g*v as (scale*g)*v, so forming
+					// the step once per class rounds every update the same.
+					steps[c] = scale * g
 				}
+				lg.update(row, steps)
 			}
 			// L2 shrinkage (biases excluded).
 			if lg.L2 > 0 {
 				shrink := 1 - lr*lg.L2
-				for c := range lg.w {
-					for j := 0; j < dim; j++ {
-						lg.w[c][j] *= shrink
+				for _, wc := range lg.w {
+					for j := range wc[:dim] {
+						wc[j] *= shrink
 					}
 				}
 			}
@@ -187,24 +198,68 @@ func (lg *Logistic) Train(x [][]float64, y []int, numClasses int) error {
 	return nil
 }
 
+// update applies one row's steps: w[c] -= steps[c]*row and the bias
+// -= steps[c]. It updates two classes per sweep over the row; every
+// weight still takes one update per row, the same product and the same
+// subtraction.
+func (lg *Logistic) update(row, steps []float64) {
+	c := 0
+	for ; c+2 <= len(lg.w); c += 2 {
+		w0, w1 := lg.w[c][:len(row)], lg.w[c+1][:len(row)]
+		s0, s1 := steps[c], steps[c+1]
+		for j, v := range row {
+			w0[j] -= s0 * v
+			w1[j] -= s1 * v
+		}
+		lg.w[c][len(row)] -= s0
+		lg.w[c+1][len(row)] -= s1
+	}
+	if c < len(lg.w) {
+		wc, s := lg.w[c][:len(row)], steps[c]
+		for j, v := range row {
+			wc[j] -= s * v
+		}
+		lg.w[c][len(row)] -= s
+	}
+}
+
 // softmax fills out with class probabilities for a standardized row.
+// It sums two classes per sweep over z; each sum still starts at the
+// class's bias and adds the features in order, so every score is
+// bit-identical to one class at a time.
 func (lg *Logistic) softmax(z []float64, out []float64) {
-	maxS := math.Inf(-1)
-	for c := 0; c < lg.k; c++ {
-		wc := lg.w[c]
-		s := wc[lg.dim]
+	c := 0
+	for ; c+2 <= len(lg.w); c += 2 {
+		w0, w1 := lg.w[c][:len(z)], lg.w[c+1][:len(z)]
+		s0, s1 := lg.w[c][len(z)], lg.w[c+1][len(z)]
+		for j, v := range z {
+			s0 += w0[j] * v
+			s1 += w1[j] * v
+		}
+		out[c], out[c+1] = s0, s1
+	}
+	if c < len(lg.w) {
+		wc := lg.w[c][:len(z)]
+		s := lg.w[c][len(z)]
 		for j, v := range z {
 			s += wc[j] * v
 		}
 		out[c] = s
+	}
+	maxS := math.Inf(-1)
+	for _, s := range out {
 		if s > maxS {
 			maxS = s
 		}
 	}
 	sum := 0.0
-	for c := range out {
-		out[c] = math.Exp(out[c] - maxS)
-		sum += out[c]
+	for c, s := range out {
+		e := 1.0 // exp(±0) is exactly 1, so the max class skips its exp
+		if d := s - maxS; d != 0 {
+			e = math.Exp(d)
+		}
+		out[c] = e
+		sum += e
 	}
 	for c := range out {
 		out[c] /= sum
@@ -288,12 +343,7 @@ func (s *SVM) Train(x [][]float64, y []int, numClasses int) error {
 	}
 	s.k, s.dim = numClasses, dim
 	s.scale = fitScaler(x)
-	n := len(x)
-	z := make([][]float64, n)
-	for i := range x {
-		z[i] = make([]float64, dim)
-		s.scale.apply(x[i], z[i])
-	}
+	z := s.scale.applyAll(x)
 
 	s.w = make([][]float64, numClasses)
 	for c := 0; c < numClasses; c++ {
@@ -306,8 +356,8 @@ func (s *SVM) Train(x [][]float64, y []int, numClasses int) error {
 
 // trainBinary runs Pegasos for class c vs rest and returns w (dim+1).
 func (s *SVM) trainBinary(z [][]float64, y []int, c int) []float64 {
-	n := len(z)
-	w := make([]float64, s.dim+1)
+	n, dim, lambda := len(z), s.dim, s.Lambda
+	w := make([]float64, dim+1)
 	src := rng.New(s.Seed + uint64(c)*7919)
 	t := 0
 	for epoch := 0; epoch < s.Epochs; epoch++ {
@@ -318,22 +368,24 @@ func (s *SVM) trainBinary(z [][]float64, y []int, c int) []float64 {
 			if y[idx] == c {
 				label = 1.0
 			}
-			eta := 1 / (s.Lambda * float64(t))
-			row := z[idx]
-			margin := w[s.dim]
+			eta := 1 / (lambda * float64(t))
+			row := z[idx][:dim]
+			margin := w[dim]
 			for j, v := range row {
 				margin += w[j] * v
 			}
 			// Regularization shrink (weights only).
-			shrink := 1 - eta*s.Lambda
-			for j := 0; j < s.dim; j++ {
+			shrink := 1 - eta*lambda
+			for j := range w[:dim] {
 				w[j] *= shrink
 			}
 			if label*margin < 1 {
+				// eta*label*v is (eta*label)*v: one step per row.
+				step := eta * label
 				for j, v := range row {
-					w[j] += eta * label * v
+					w[j] += step * v
 				}
-				w[s.dim] += eta * label
+				w[dim] += step
 			}
 		}
 	}

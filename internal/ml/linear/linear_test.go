@@ -1,10 +1,12 @@
 package linear
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"repro/internal/ml/mltest"
+	"repro/internal/rng"
 )
 
 func TestLogisticSeparable(t *testing.T) {
@@ -161,5 +163,54 @@ func TestRejectBadInput(t *testing.T) {
 	}
 	if err := NewSVM().Train([][]float64{{1}}, []int{3}, 2); err == nil {
 		t.Fatal("svm accepted out-of-range label")
+	}
+}
+
+// TestLogisticMatchesReference trains Logistic and the reference trainer
+// in linear_ref_test.go on the same random problems, with and without
+// class weights, and requires every weight and every probability to agree
+// bit for bit. The problems cover 1-16 features, 2-6 classes, batch sizes
+// that do and do not divide the row count, and constant features.
+func TestLogisticMatchesReference(t *testing.T) {
+	src := rng.New(19)
+	for trial := 0; trial < 48; trial++ {
+		dim, k := 1+src.Intn(16), 2+src.Intn(5)
+		x, y := mltest.Random(src, 8+src.Intn(60), dim, k)
+		got := &Logistic{Epochs: 1 + src.Intn(6), LR: src.Range(0.01, 0.5),
+			L2: []float64{0, 1e-4, 1e-2}[trial%3], Batch: 1 + src.Intn(40), Seed: uint64(trial)}
+		if trial%2 == 1 {
+			got.ClassWeights = make([]float64, k)
+			for c := range got.ClassWeights {
+				got.ClassWeights[c] = src.Range(0.1, 5)
+			}
+		}
+		want := &refLogistic{*got}
+		if err := got.Train(x, y, k); err != nil {
+			t.Fatal(err)
+		}
+		want.Train(x, y, k)
+		mltest.SameBits(t, fmt.Sprintf("trial %d: w", trial), got.Weights(), want.w)
+		for i, row := range x {
+			mltest.SameBits(t, fmt.Sprintf("trial %d: proba of row %d", trial, i),
+				[][]float64{got.Proba(row)}, [][]float64{want.Proba(row)})
+		}
+	}
+}
+
+// TestSVMMatchesReference does the same for the one-vs-rest Pegasos SVM:
+// every class vector must agree with the reference bit for bit.
+func TestSVMMatchesReference(t *testing.T) {
+	src := rng.New(23)
+	for trial := 0; trial < 48; trial++ {
+		dim, k := 1+src.Intn(16), 2+src.Intn(5)
+		x, y := mltest.Random(src, 8+src.Intn(60), dim, k)
+		got := &SVM{Lambda: []float64{0, 1e-4, 1e-2}[trial%3], Epochs: 1 + src.Intn(6),
+			Seed: uint64(trial)}
+		want := &refSVM{*got}
+		if err := got.Train(x, y, k); err != nil {
+			t.Fatal(err)
+		}
+		want.Train(x, y, k)
+		mltest.SameBits(t, fmt.Sprintf("trial %d: w", trial), got.Weights(), want.w)
 	}
 }

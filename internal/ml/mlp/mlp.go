@@ -1,6 +1,7 @@
 // Package mlp implements a multilayer perceptron (WEKA's
 // MultilayerPerceptron): one sigmoid hidden layer, softmax output,
-// mini-batch SGD with momentum, and internal feature standardization.
+// stochastic gradient descent with momentum that updates the weights
+// after every training row, and internal feature standardization.
 // WEKA's default hidden size 'a' = (attributes + classes) / 2 is the
 // default here too.
 package mlp
@@ -29,7 +30,7 @@ type MLP struct {
 	// Seed controls weight init and shuffling.
 	Seed uint64
 
-	w1, w2   [][]float64 // [hidden][dim+1], [classes][hidden+1]
+	w1, w2   []float64 // [hidden][dim+1], [classes][hidden+1], row-major
 	mean, sd []float64
 	k, dim   int
 	hidden   int
@@ -92,30 +93,32 @@ func (m *MLP) Train(x [][]float64, y []int, numClasses int) error {
 			m.sd[j] = 1
 		}
 	}
-	z := make([][]float64, len(x))
+	// The standardized rows, the weights and their momentum terms each
+	// live in one contiguous array: row r of a layer with c columns is
+	// [r*c, (r+1)*c).
+	z := make([]float64, len(x)*dim)
 	for i, row := range x {
-		z[i] = make([]float64, dim)
+		zi := z[i*dim : (i+1)*dim]
 		for j, v := range row {
-			z[i][j] = (v - m.mean[j]) / m.sd[j]
+			zi[j] = (v - m.mean[j]) / m.sd[j]
 		}
 	}
 
 	src := rng.New(m.Seed)
-	initW := func(rows, cols int) [][]float64 {
-		w := make([][]float64, rows)
+	initW := func(rows, cols int) []float64 {
+		w := make([]float64, rows*cols)
 		scale := 1 / math.Sqrt(float64(cols))
-		for r := range w {
-			w[r] = make([]float64, cols)
-			for c := range w[r] {
-				w[r][c] = src.Normal(0, scale)
-			}
+		for i := range w {
+			w[i] = src.Normal(0, scale)
 		}
 		return w
 	}
-	m.w1 = initW(m.hidden, dim+1)
-	m.w2 = initW(numClasses, m.hidden+1)
-	v1 := initZero(m.hidden, dim+1)
-	v2 := initZero(numClasses, m.hidden+1)
+	n1, n2 := dim+1, m.hidden+1
+	m.w1 = initW(m.hidden, n1)
+	m.w2 = initW(numClasses, n2)
+	w1, w2 := m.w1, m.w2
+	v1 := make([]float64, len(w1))
+	v2 := make([]float64, len(w2))
 
 	order := make([]int, len(x))
 	for i := range order {
@@ -125,12 +128,16 @@ func (m *MLP) Train(x [][]float64, y []int, numClasses int) error {
 	out := make([]float64, numClasses)
 	dOut := make([]float64, numClasses)
 	dHid := make([]float64, m.hidden)
+	mom := m.Momentum
 
+	// The step products lr*dOut[c] and lr*dHid[j] are formed once per row.
+	// Go evaluates lr*d*v as (lr*d)*v, so every update rounds exactly as
+	// when the product was written out inside the weight loops.
 	for epoch := 0; epoch < m.Epochs; epoch++ {
 		src.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		lr := m.LR / (1 + 0.002*float64(epoch))
 		for _, idx := range order {
-			row := z[idx]
+			row := z[idx*dim : (idx+1)*dim]
 			m.forward(row, h, out)
 			for c := range dOut {
 				dOut[c] = out[c]
@@ -138,31 +145,37 @@ func (m *MLP) Train(x [][]float64, y []int, numClasses int) error {
 					dOut[c] -= 1
 				}
 			}
-			// Hidden deltas.
-			for j := 0; j < m.hidden; j++ {
+			// Hidden deltas, from the output weights before this row's update.
+			for j := range dHid {
 				g := 0.0
-				for c := 0; c < numClasses; c++ {
-					g += dOut[c] * m.w2[c][j]
+				for c, d := range dOut {
+					g += d * w2[c*n2+j]
 				}
 				dHid[j] = g * h[j] * (1 - h[j])
 			}
 			// Update output layer.
-			for c := 0; c < numClasses; c++ {
-				for j := 0; j < m.hidden; j++ {
-					v2[c][j] = m.Momentum*v2[c][j] - lr*dOut[c]*h[j]
-					m.w2[c][j] += v2[c][j]
+			for c, d := range dOut {
+				step := lr * d
+				wc, vc := w2[c*n2:(c+1)*n2], v2[c*n2:(c+1)*n2]
+				ws, vs := wc[:len(h)], vc[:len(h)]
+				for j, hj := range h {
+					vs[j] = mom*vs[j] - step*hj
+					ws[j] += vs[j]
 				}
-				v2[c][m.hidden] = m.Momentum*v2[c][m.hidden] - lr*dOut[c]
-				m.w2[c][m.hidden] += v2[c][m.hidden]
+				vc[len(h)] = mom*vc[len(h)] - step
+				wc[len(h)] += vc[len(h)]
 			}
 			// Update hidden layer.
-			for j := 0; j < m.hidden; j++ {
-				for i2, v := range row {
-					v1[j][i2] = m.Momentum*v1[j][i2] - lr*dHid[j]*v
-					m.w1[j][i2] += v1[j][i2]
+			for j, d := range dHid {
+				step := lr * d
+				wj, vj := w1[j*n1:(j+1)*n1], v1[j*n1:(j+1)*n1]
+				ws, vs := wj[:len(row)], vj[:len(row)]
+				for i, v := range row {
+					vs[i] = mom*vs[i] - step*v
+					ws[i] += vs[i]
 				}
-				v1[j][dim] = m.Momentum*v1[j][dim] - lr*dHid[j]
-				m.w1[j][dim] += v1[j][dim]
+				vj[dim] = mom*vj[dim] - step
+				wj[dim] += vj[dim]
 			}
 		}
 	}
@@ -171,29 +184,41 @@ func (m *MLP) Train(x [][]float64, y []int, numClasses int) error {
 	return nil
 }
 
-func initZero(rows, cols int) [][]float64 {
-	w := make([][]float64, rows)
-	for r := range w {
-		w[r] = make([]float64, cols)
-	}
-	return w
-}
-
 // forward computes hidden activations and softmax outputs for a
-// standardized row.
+// standardized row. The hidden layer sums four units per sweep over the
+// input; each sum still starts at the unit's bias and adds the inputs in
+// order, so every activation is bit-identical to one unit at a time.
 func (m *MLP) forward(z []float64, h, out []float64) {
-	for j := 0; j < m.hidden; j++ {
-		wj := m.w1[j]
-		s := wj[m.dim]
+	dim, n1 := m.dim, m.dim+1
+	z = z[:dim]
+	j := 0
+	for ; j+4 <= m.hidden; j += 4 {
+		w := m.w1[j*n1 : (j+4)*n1]
+		r0, r1, r2, r3 := w[:len(z)], w[n1:][:len(z)], w[2*n1:][:len(z)], w[3*n1:][:len(z)]
+		s0, s1, s2, s3 := w[dim], w[n1+dim], w[2*n1+dim], w[3*n1+dim]
 		for i, v := range z {
-			s += wj[i] * v
+			s0 += r0[i] * v
+			s1 += r1[i] * v
+			s2 += r2[i] * v
+			s3 += r3[i] * v
+		}
+		h[j], h[j+1], h[j+2], h[j+3] = sigmoid(s0), sigmoid(s1), sigmoid(s2), sigmoid(s3)
+	}
+	for ; j < m.hidden; j++ {
+		w := m.w1[j*n1 : (j+1)*n1]
+		w = w[:len(z)+1]
+		s := w[dim]
+		for i, v := range z {
+			s += w[i] * v
 		}
 		h[j] = sigmoid(s)
 	}
+	n2 := m.hidden + 1
 	maxS := math.Inf(-1)
-	for c := 0; c < m.k; c++ {
-		wc := m.w2[c]
-		s := wc[m.hidden]
+	for c := range out {
+		wc := m.w2[c*n2 : (c+1)*n2]
+		wc = wc[:len(h)+1]
+		s := wc[len(h)]
 		for j, v := range h {
 			s += wc[j] * v
 		}
@@ -203,9 +228,13 @@ func (m *MLP) forward(z []float64, h, out []float64) {
 		}
 	}
 	sum := 0.0
-	for c := range out {
-		out[c] = math.Exp(out[c] - maxS)
-		sum += out[c]
+	for c, s := range out {
+		e := 1.0 // exp(±0) is exactly 1, so the max class skips its exp
+		if d := s - maxS; d != 0 {
+			e = math.Exp(d)
+		}
+		out[c] = e
+		sum += e
 	}
 	for c := range out {
 		out[c] /= sum
@@ -258,13 +287,25 @@ func (m *MLP) NumClasses() int {
 }
 
 // Weights exposes the fitted layers for compilation: w1 is
-// [hidden][dim+1] and w2 is [classes][hidden+1], biases last. The
-// returned slices are the live model; callers must not mutate them.
+// [hidden][dim+1] and w2 is [classes][hidden+1], biases last. The rows
+// are views of the live model; callers must not mutate them. Each row's
+// capacity ends at its length, so an append to a row copies it instead
+// of overwriting the next.
 func (m *MLP) Weights() (w1, w2 [][]float64) {
 	if !m.trained {
 		panic(ml.ErrNotTrained)
 	}
-	return m.w1, m.w2
+	return rowViews(m.w1, m.dim+1), rowViews(m.w2, m.hidden+1)
+}
+
+// rowViews splits a row-major matrix with the given column count into
+// row views.
+func rowViews(w []float64, cols int) [][]float64 {
+	out := make([][]float64, len(w)/cols)
+	for r := range out {
+		out[r] = w[r*cols : (r+1)*cols : (r+1)*cols]
+	}
+	return out
 }
 
 // Scaler exposes the internal standardization statistics (means,

@@ -1,9 +1,15 @@
 // Package mltest provides shared synthetic datasets for classifier tests:
-// separable Gaussian blobs, overlapping blobs, and XOR (non-linearly
-// separable) problems, all deterministic in a seed.
+// separable Gaussian blobs, overlapping blobs, XOR (non-linearly
+// separable) problems and random problems for differential tests, all
+// deterministic in a seed, plus a bit-exact comparison of weights.
 package mltest
 
-import "repro/internal/rng"
+import (
+	"math"
+	"testing"
+
+	"repro/internal/rng"
+)
 
 // Blobs generates n points per class around class-specific centers with
 // the given noise stddev. Returns features and labels.
@@ -81,4 +87,86 @@ func Accuracy(predict func([]float64) int, x [][]float64, y []int) float64 {
 func SplitHalf(x [][]float64, y []int) (xa [][]float64, ya []int, xb [][]float64, yb []int) {
 	h := len(x) / 2
 	return x[:h], y[:h], x[h:], y[h:]
+}
+
+// Random draws n rows of a dim-feature, k-class problem for differential
+// tests: each class has its own center, each feature its own scale
+// between 1e-3 and 1e6, about one feature in eight is constant, and the
+// labels cover every class when n >= k.
+func Random(src *rng.Source, n, dim, k int) (x [][]float64, y []int) {
+	scale := make([]float64, dim)
+	for j := range scale {
+		scale[j] = math.Pow(10, src.Range(-3, 6))
+		if src.Bool(0.125) {
+			scale[j] = 0
+		}
+	}
+	centers := make([][]float64, k)
+	for c := range centers {
+		centers[c] = make([]float64, dim)
+		for j := range centers[c] {
+			centers[c][j] = src.Normal(0, 2) * scale[j]
+		}
+	}
+	for i := 0; i < n; i++ {
+		c := i % k
+		if i >= k {
+			c = src.Intn(k)
+		}
+		row := make([]float64, dim)
+		for j := range row {
+			row[j] = centers[c][j] + src.Normal(0, 1)*scale[j]
+		}
+		x = append(x, row)
+		y = append(y, c)
+	}
+	return x, y
+}
+
+// SameBits fails t unless got and want have the same shape and every
+// element has the same float64 bit pattern (so -0 differs from +0 and a
+// NaN matches only the same NaN).
+func SameBits(t testing.TB, what string, got, want [][]float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d rows, want %d", what, len(got), len(want))
+	}
+	for r := range want {
+		if len(got[r]) != len(want[r]) {
+			t.Fatalf("%s: row %d has %d columns, want %d", what, r, len(got[r]), len(want[r]))
+		}
+		for c, w := range want[r] {
+			if g := got[r][c]; math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%s: [%d][%d] = %v (%#x), want %v (%#x)",
+					what, r, c, g, math.Float64bits(g), w, math.Float64bits(w))
+			}
+		}
+	}
+}
+
+// Tricky draws n rows of a dim-feature, k-class problem whose values tie
+// often and include NaN, +Inf, -Inf and -0, for differential tests of
+// learners that sort or compare feature values. Labels are uniform.
+func Tricky(src *rng.Source, n, dim, k int) (x [][]float64, y []int) {
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0}
+	pool := make([]float64, 3+src.Intn(6)) // few distinct values: many ties
+	for i := range pool {
+		pool[i] = math.Round(src.Normal(0, 4)*4) / 4
+	}
+	for i := 0; i < n; i++ {
+		row := make([]float64, dim)
+		for j := range row {
+			switch u := src.Float64(); {
+			case u < 0.15:
+				row[j] = special[src.Intn(len(special))]
+			case u < 0.6:
+				row[j] = pool[src.Intn(len(pool))]
+			default:
+				row[j] = src.Normal(0, 4)
+			}
+		}
+		x = append(x, row)
+		y = append(y, src.Intn(k))
+	}
+	return x, y
 }

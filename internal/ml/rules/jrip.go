@@ -215,7 +215,10 @@ func (j *JRip) growPruneRule(x [][]float64, y []int, active []int, class int, sr
 }
 
 // bestCondition finds the literal with the highest FOIL gain over the
-// covered grow-set rows.
+// covered grow-set rows. For each attribute it sorts the covered values
+// and, beside them, the target class's values; a literal's (p, n) are
+// then two binary searches. sort.Float64s puts NaNs first, and a NaN
+// matches neither <= nor >, so the searches start past them.
 func (j *JRip) bestCondition(x [][]float64, y []int, covered []int, class int) (Condition, float64) {
 	p0, n0 := countClass(y, covered, class)
 	base := math.Log2(float64(p0) / float64(p0+n0))
@@ -224,39 +227,68 @@ func (j *JRip) bestCondition(x [][]float64, y []int, covered []int, class int) (
 	bestGain := 0.0
 
 	vals := make([]float64, 0, len(covered))
+	pos := make([]float64, 0, p0)
 	for a := 0; a < dim; a++ {
-		vals = vals[:0]
+		vals, pos = vals[:0], pos[:0]
 		for _, idx := range covered {
-			vals = append(vals, x[idx][a])
+			v := x[idx][a]
+			vals = append(vals, v)
+			if y[idx] == class {
+				pos = append(pos, v)
+			}
 		}
 		sort.Float64s(vals)
+		sort.Float64s(pos)
+		numV, numP := withoutNaNs(vals), withoutNaNs(pos)
 		// Quantile candidate thresholds.
 		for q := 1; q < j.Candidates; q++ {
 			thr := vals[q*len(vals)/j.Candidates]
+			if math.IsNaN(thr) {
+				continue // no row is <= or > NaN: p == 0 for both operators
+			}
+			le, leP := countLE(numV, thr), countLE(numP, thr)
 			for _, op := range []byte{'l', 'g'} {
-				cond := Condition{Attr: a, Op: op, Thr: thr}
-				p, n := 0, 0
-				for _, idx := range covered {
-					if cond.Matches(x[idx]) {
-						if y[idx] == class {
-							p++
-						} else {
-							n++
-						}
-					}
+				p, all := leP, le
+				if op == 'g' {
+					p, all = len(numP)-leP, len(numV)-le
 				}
+				n := all - p
 				if p == 0 {
 					continue
 				}
 				gain := float64(p) * (math.Log2(float64(p)/float64(p+n)) - base)
 				if gain > bestGain {
 					bestGain = gain
-					best = cond
+					best = Condition{Attr: a, Op: op, Thr: thr}
 				}
 			}
 		}
 	}
 	return best, bestGain
+}
+
+// withoutNaNs returns s past its leading NaNs; s is sorted by
+// sort.Float64s, which puts every NaN first.
+func withoutNaNs(s []float64) []float64 {
+	i := 0
+	for i < len(s) && math.IsNaN(s[i]) {
+		i++
+	}
+	return s[i:]
+}
+
+// countLE returns how many values of the sorted, NaN-free s are <= v.
+func countLE(s []float64, v float64) int {
+	lo, hi := 0, len(s)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if s[mid] <= v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
 }
 
 func countClass(y []int, rows []int, class int) (pos, neg int) {

@@ -1,10 +1,12 @@
 package rules
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/ml/mltest"
+	"repro/internal/rng"
 )
 
 func TestJRipSeparable(t *testing.T) {
@@ -134,5 +136,31 @@ func TestJRipPanicsUntrained(t *testing.T) {
 func TestJRipRejectsBadInput(t *testing.T) {
 	if err := New().Train(nil, nil, 2); err == nil {
 		t.Fatal("accepted empty set")
+	}
+}
+
+// TestBestConditionMatchesReference runs the literal search and the
+// row-scanning reference in jrip_ref_test.go on random covered sets of
+// tables full of ties, NaN, +-Inf and -0, and requires the same
+// attribute, operator, threshold bits and gain.
+func TestBestConditionMatchesReference(t *testing.T) {
+	src := rng.New(19)
+	for trial := 0; trial < 400; trial++ {
+		dim, k := 1+src.Intn(16), 2+src.Intn(5)
+		x, y := mltest.Tricky(src, 2+src.Intn(120), dim, k)
+		covered := src.Perm(len(x))[:1+src.Intn(len(x))]
+		class := y[covered[src.Intn(len(covered))]]
+		if p, n := countClass(y, covered, class); p == 0 || n == 0 {
+			continue // the grow loop stops before searching
+		}
+		j := &JRip{Candidates: 4 + src.Intn(20)}
+		got, gotGain := j.bestCondition(x, y, covered, class)
+		want, wantGain := refBestCondition(j, x, y, covered, class)
+		if got.Attr != want.Attr || got.Op != want.Op ||
+			math.Float64bits(got.Thr) != math.Float64bits(want.Thr) ||
+			math.Float64bits(gotGain) != math.Float64bits(wantGain) {
+			t.Fatalf("trial %d: got %+v gain %v, reference %+v gain %v",
+				trial, got, gotGain, want, wantGain)
+		}
 	}
 }

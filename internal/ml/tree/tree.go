@@ -6,7 +6,7 @@ package tree
 
 import (
 	"math"
-	"sort"
+	"slices"
 
 	"repro/internal/ml"
 	"repro/internal/rng"
@@ -104,6 +104,7 @@ func bestSplit(x [][]float64, y []int, rows []int, numClasses, minLeaf int, useG
 	}
 	pairs := make([]pair, total)
 	leftCounts := make([]int, numClasses)
+	rightCounts := make([]int, numClasses)
 
 	if attrs == nil {
 		attrs = make([]int, len(x[0]))
@@ -118,7 +119,19 @@ func bestSplit(x [][]float64, y []int, rows []int, numClasses, minLeaf int, useG
 		for i, r := range rows {
 			pairs[i] = pair{x[r][a], y[r]}
 		}
-		sort.Slice(pairs, func(i, j int) bool { return pairs[i].v < pairs[j].v })
+		// Ordered by < alone, a NaN compares equal to everything.
+		// slices.SortFunc runs the same pdqsort as sort.Slice with the
+		// less func a.v < b.v (tree_ref_test.go), so the permutation,
+		// ties and NaNs included, is the same.
+		slices.SortFunc(pairs, func(a, b pair) int {
+			if a.v < b.v {
+				return -1
+			}
+			if a.v > b.v {
+				return 1
+			}
+			return 0
+		})
 		for c := range leftCounts {
 			leftCounts[c] = 0
 		}
@@ -134,7 +147,6 @@ func bestSplit(x [][]float64, y []int, rows []int, numClasses, minLeaf int, useG
 			if nLeft < minLeaf || nRight < minLeaf {
 				continue
 			}
-			rightCounts := make([]int, numClasses)
 			for c := range rightCounts {
 				rightCounts[c] = parentCounts[c] - leftCounts[c]
 			}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/ml/mltest"
+	"repro/internal/rng"
 )
 
 func TestJ48Separable(t *testing.T) {
@@ -343,5 +344,32 @@ func TestREPTreeFeatureImportance(t *testing.T) {
 	imp := r.FeatureImportance(2)
 	if imp[1] <= imp[0] {
 		t.Fatalf("REPTree importance %v", imp)
+	}
+}
+
+// TestBestSplitMatchesReference runs the split search and the sort.Slice
+// reference in tree_ref_test.go on random row sets of tables full of
+// ties, NaN, +-Inf and -0, for both criteria and for attribute subsets,
+// and requires the same attribute, threshold, gain and gain ratio, bit
+// for bit.
+func TestBestSplitMatchesReference(t *testing.T) {
+	src := rng.New(19)
+	for trial := 0; trial < 400; trial++ {
+		dim, k := 1+src.Intn(16), 2+src.Intn(5)
+		x, y := mltest.Tricky(src, 1+src.Intn(150), dim, k)
+		rows := src.Perm(len(x))[:1+src.Intn(len(x))]
+		minLeaf, gainRatio := 1+src.Intn(4), trial%2 == 0
+		var attrs []int
+		if trial%3 == 0 {
+			attrs = src.Perm(dim)[:1+src.Intn(dim)]
+		}
+		got := bestSplit(x, y, rows, k, minLeaf, gainRatio, attrs)
+		want := refBestSplit(x, y, rows, k, minLeaf, gainRatio, attrs)
+		if got.ok != want.ok || got.attr != want.attr ||
+			math.Float64bits(got.thr) != math.Float64bits(want.thr) ||
+			math.Float64bits(got.gain) != math.Float64bits(want.gain) ||
+			math.Float64bits(got.gainRatio) != math.Float64bits(want.gainRatio) {
+			t.Fatalf("trial %d: got %+v, reference %+v", trial, got, want)
+		}
 	}
 }

@@ -239,7 +239,13 @@ func (rt *ReqTracer) List(f ReqTraceFilter) []ReqTraceSummary {
 	}
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
-	out := make([]ReqTraceSummary, 0, rt.ring.Len())
+	// Size for the limit, not the ring: a viewer's ?limit=12 poll of a
+	// full ring needs 12 summaries. Never nil, so no match renders [].
+	n := rt.ring.Len()
+	if f.Limit > 0 && f.Limit < n {
+		n = f.Limit
+	}
+	out := make([]ReqTraceSummary, 0, n)
 	for i := rt.ring.Len() - 1; i >= 0; i-- {
 		s := rt.ring.At(i)
 		if f.Tenant != "" && s.Tenant != f.Tenant {

@@ -228,6 +228,25 @@ func TestReqTracerSpanCapAndList(t *testing.T) {
 	}
 }
 
+// TestReqTracerListSizedForLimit: a limited List of a full ring sizes
+// its result for the limit, not for every retained trace, and a List
+// that matches nothing is empty but not nil, so it renders as [].
+func TestReqTracerListSizedForLimit(t *testing.T) {
+	rt := NewReqTracer(ReqTracerConfig{HeadRatio: 1})
+	for i := 0; i < maxTraces; i++ {
+		endTrace(rt.Sample(TraceContext{}, "ingest", "acme", 0), 1)
+	}
+	if st := rt.Stats(); st.Traces != maxTraces {
+		t.Fatalf("ring holds %d traces, want %d", st.Traces, maxTraces)
+	}
+	if l := rt.List(ReqTraceFilter{Limit: 12}); len(l) != 12 || cap(l) > 12 {
+		t.Fatalf("List(Limit: 12) has len %d cap %d, want 12 and at most 12", len(l), cap(l))
+	}
+	if l := rt.List(ReqTraceFilter{Tenant: "nobody", Limit: 12}); l == nil || len(l) != 0 {
+		t.Fatalf("a List that matches nothing = %#v, want empty and non-nil", l)
+	}
+}
+
 // TestReqTracerNilSafe pins the contract the ingest hot path relies on:
 // a nil tracer and a nil active trace absorb every call without
 // allocating or panicking.

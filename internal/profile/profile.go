@@ -483,7 +483,12 @@ func (p *Profiler) List(typ, trigger string, limit int) []CaptureInfo {
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	out := make([]CaptureInfo, 0, p.ring.Len())
+	// Size for the limit, not the ring; never nil, so no match renders [].
+	n := p.ring.Len()
+	if limit > 0 && limit < n {
+		n = limit
+	}
+	out := make([]CaptureInfo, 0, n)
 	for i := p.ring.Len() - 1; i >= 0; i-- {
 		info := p.ring.At(i).info
 		if (typ != "" && info.Type != typ) || (trigger != "" && info.Trigger != trigger) {

@@ -1,6 +1,7 @@
 package profile
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -155,6 +156,22 @@ func TestRingListFilters(t *testing.T) {
 	}
 	if lim := p.List(TypeCPU, "", 2); len(lim) != 2 || lim[0].ID != "cpu3" {
 		t.Fatalf("limit filter = %+v", lim)
+	}
+}
+
+// TestListSizedForLimit: a limited List sizes its result for the limit,
+// not for every capture in the ring, and a List that matches nothing is
+// empty but not nil, so it renders as [].
+func TestListSizedForLimit(t *testing.T) {
+	p := testProfiler(t, nil)
+	for i := 0; i < 100; i++ {
+		p.ring.Add(capture{info: CaptureInfo{ID: "cpu" + strconv.Itoa(i), Type: TypeCPU}, blob: []byte{0}}, 1, false)
+	}
+	if l := p.List("", "", 12); len(l) != 12 || cap(l) > 12 {
+		t.Fatalf("List(limit 12) has len %d cap %d, want 12 and at most 12", len(l), cap(l))
+	}
+	if l := p.List(TypeHeap, "", 12); l == nil || len(l) != 0 {
+		t.Fatalf("a List that matches nothing = %#v, want empty and non-nil", l)
 	}
 }
 
