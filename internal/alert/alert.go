@@ -66,7 +66,13 @@ func (d *Duration) UnmarshalJSON(raw []byte) error {
 	if err := json.Unmarshal(raw, &secs); err != nil {
 		return fmt.Errorf("alert: duration must be a string or seconds: %s", raw)
 	}
-	*d = Duration(time.Duration(secs * float64(time.Second)))
+	// Beyond ±2^63 nanoseconds Go's conversion to int64 is
+	// implementation-defined (1e10 s turns negative on amd64).
+	ns := secs * float64(time.Second)
+	if !(ns >= -0x1p63 && ns < 0x1p63) {
+		return fmt.Errorf("alert: duration %s seconds out of range", raw)
+	}
+	*d = Duration(time.Duration(ns))
 	return nil
 }
 
@@ -127,17 +133,22 @@ func (r *Rule) validate() error {
 }
 
 // ParseRules decodes a rule file: either a bare JSON array of rules or an
-// object with a "rules" key, so files can grow metadata later.
+// object with a "rules" key, so files can grow metadata later. An object
+// without that key is an error, not an empty rule set: a bare rule or a
+// misspelled key would otherwise configure no alerts and say nothing.
 func ParseRules(raw []byte) ([]Rule, error) {
 	var rules []Rule
 	if err := json.Unmarshal(raw, &rules); err != nil {
 		var wrapper struct {
-			Rules []Rule `json:"rules"`
+			Rules *[]Rule `json:"rules"`
 		}
 		if err2 := json.Unmarshal(raw, &wrapper); err2 != nil {
 			return nil, fmt.Errorf("alert: parsing rules: %w", err)
 		}
-		rules = wrapper.Rules
+		if wrapper.Rules == nil {
+			return nil, fmt.Errorf(`alert: parsing rules: object has no "rules" array`)
+		}
+		rules = *wrapper.Rules
 	}
 	seen := map[string]bool{}
 	for i := range rules {

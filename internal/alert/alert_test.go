@@ -2,6 +2,8 @@ package alert
 
 import (
 	"context"
+	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -39,19 +41,66 @@ func TestParseRules(t *testing.T) {
 }
 
 func TestParseRulesErrors(t *testing.T) {
-	cases := map[string]string{
-		"missing name":   `[{"metric": "m", "op": ">", "threshold": 1}]`,
-		"missing metric": `[{"name": "a", "op": ">", "threshold": 1}]`,
-		"bad op":         `[{"name": "a", "metric": "m", "op": "~", "threshold": 1}]`,
-		"bad duration":   `[{"name": "a", "metric": "m", "op": ">", "threshold": 1, "for": "xyz"}]`,
-		"duplicate name": `[{"name": "a", "metric": "m", "op": ">", "threshold": 1}, {"name": "a", "metric": "m", "op": ">", "threshold": 2}]`,
-		"not json":       `{broken`,
+	// want, when set, is a substring the error must contain.
+	cases := map[string]struct{ raw, want string }{
+		"missing name":   {raw: `[{"metric": "m", "op": ">", "threshold": 1}]`},
+		"missing metric": {raw: `[{"name": "a", "op": ">", "threshold": 1}]`},
+		"bad op":         {raw: `[{"name": "a", "metric": "m", "op": "~", "threshold": 1}]`},
+		"bad duration":   {raw: `[{"name": "a", "metric": "m", "op": ">", "threshold": 1, "for": "xyz"}]`},
+		"duplicate name": {raw: `[{"name": "a", "metric": "m", "op": ">", "threshold": 1}, {"name": "a", "metric": "m", "op": ">", "threshold": 2}]`},
+		"not json":       {raw: `{broken`},
+		// Objects that would otherwise parse to zero rules and no error.
+		"bare rule object":     {raw: `{"name": "x", "metric": "m", "op": ">"}`, want: `no "rules"`},
+		"misspelled rules key": {raw: `{"rule": [{"name": "a", "metric": "m", "op": ">", "threshold": 1}]}`, want: `no "rules"`},
+		"null rules":           {raw: `{"rules": null}`, want: `no "rules"`},
+		// Seconds whose nanoseconds do not fit in int64.
+		"for too long":     {raw: `[{"name": "a", "metric": "m", "op": ">", "threshold": 1, "for": 1e10}]`, want: "out of range"},
+		"for too negative": {raw: `[{"name": "a", "metric": "m", "op": ">", "threshold": 1, "for": -1e10}]`, want: "out of range"},
 	}
-	for name, raw := range cases {
-		if _, err := ParseRules([]byte(raw)); err == nil {
-			t.Errorf("%s: accepted %s", name, raw)
+	for name, c := range cases {
+		_, err := ParseRules([]byte(c.raw))
+		if err == nil {
+			t.Errorf("%s: accepted %s", name, c.raw)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: error %q does not mention %q", name, err, c.want)
 		}
 	}
+}
+
+// FuzzParseRules holds ParseRules to its contract for any input: it
+// never panics, and a rule set it accepts marshals and parses back to
+// the same rules.
+func FuzzParseRules(f *testing.F) {
+	for _, seed := range []string{
+		`[{"name": "f1-low", "metric": "quality.f1", "op": "<", "threshold": 0.8, "for": "30s", "severity": "critical", "msg": "check drift"}]`,
+		`{"rules": [{"name": "a", "metric": "m", "op": ">", "threshold": 1, "for": 2.5}], "version": 2}`,
+		`[{"name": "max", "metric": "m:p99", "op": "!=", "threshold": -0, "for": 9.2e9}]`,
+		`{"name": "x", "metric": "m", "op": ">"}`,
+		`{"rule": []}`,
+		`[{"name": "a", "metric": "m", "op": ">", "threshold": 1, "for": 1e10}]`,
+		`[]`,
+		`null`,
+		`{broken`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		rules, err := ParseRules(raw)
+		if err != nil {
+			return
+		}
+		out, err := json.Marshal(rules)
+		if err != nil {
+			t.Fatalf("accepted rules do not marshal: %v", err)
+		}
+		back, err := ParseRules(out)
+		if err != nil {
+			t.Fatalf("marshaled rules %s do not parse back: %v", out, err)
+		}
+		if !reflect.DeepEqual(back, rules) {
+			t.Fatalf("round trip changed the rules:\n got %+v\nwant %+v", back, rules)
+		}
+	})
 }
 
 func TestEngineFireAndResolve(t *testing.T) {

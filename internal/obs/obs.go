@@ -2,12 +2,13 @@
 // key-value structured logger (text and JSON encoders), a metrics
 // registry (counters, gauges, fixed-bucket histograms) with deterministic
 // JSON snapshots and Prometheus text exposition (WritePrometheus),
-// lightweight spans that assemble a per-run timing tree exportable as
-// Chrome trace-event JSON (WriteChromeTrace), a bounded drop-oldest
-// detection-event bus (Bus) for live streaming, the bounded drop-oldest
-// store of recent items (Ring) under request traces, profile captures and
-// event histories, build identity (BuildInfo), and run manifests that
-// make every generated artifact auditable.
+// lightweight spans stored as flat records that nest into a per-run
+// timing tree and export as Chrome trace-event JSON (WriteChromeTrace), a
+// bounded drop-oldest detection-event bus (Bus) for live streaming, the
+// bounded drop-oldest store of recent items (Ring) under run spans,
+// request traces, profile captures and event histories, build identity
+// (BuildInfo), and run manifests that make every generated artifact
+// auditable.
 //
 // The package is dependency-free (stdlib only) and nop-by-default: the
 // default logger is disabled until a front end installs one, and a

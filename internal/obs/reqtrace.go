@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,15 +29,22 @@ type ReqAttr struct {
 	Value float64 `json:"value"`
 }
 
-// ReqSpan is one completed stage of a request trace.
-type ReqSpan struct {
-	Name string `json:"name"`
+// SpanRecord is one completed span: a stage of a request trace, or a
+// span of the run tracer, which alone sets ID and ParentID (0 for a
+// root), so request spans render without them.
+type SpanRecord struct {
+	Name     string `json:"name"`
+	ID       uint64 `json:"id,omitempty"`
+	ParentID uint64 `json:"parent_id,omitempty"`
 	// StartUnixUS is the span's start time, microseconds since the epoch.
 	StartUnixUS int64 `json:"start_us"`
 	// DurUS is the span's duration in microseconds.
 	DurUS int64     `json:"dur_us"`
 	Attrs []ReqAttr `json:"attrs,omitempty"`
 }
+
+// ReqSpan is the request tracer's name for SpanRecord.
+type ReqSpan = SpanRecord
 
 // ReqTraceSnapshot is one completed request trace: the root identity plus
 // the flat span waterfall, ordered as recorded.
@@ -59,8 +67,8 @@ type ReqTraceSnapshot struct {
 	// only by head sampling, which evict first under memory pressure.
 	KeepReason string `json:"keep_reason,omitempty"`
 	// DroppedSpans counts spans discarded past the per-trace cap.
-	DroppedSpans int       `json:"dropped_spans,omitempty"`
-	Spans        []ReqSpan `json:"spans"`
+	DroppedSpans int          `json:"dropped_spans,omitempty"`
+	Spans        []SpanRecord `json:"spans"`
 }
 
 // ReqTraceSummary is the list-endpoint view of a retained trace: identity
@@ -357,7 +365,7 @@ type ActiveTrace struct {
 	committed    bool
 	errMsg       string
 	keep         string
-	spans        []ReqSpan
+	spans        []SpanRecord
 	droppedSpans int
 }
 
@@ -394,7 +402,7 @@ func (at *ActiveTrace) AddSpan(name string, startNS, endNS int64, attrs ...ReqAt
 		at.mu.Unlock()
 		return
 	}
-	at.spans = append(at.spans, ReqSpan{
+	at.spans = append(at.spans, SpanRecord{
 		Name:        name,
 		StartUnixUS: startNS / 1e3,
 		DurUS:       (endNS - startNS) / 1e3,
@@ -472,6 +480,12 @@ func (at *ActiveTrace) End(endNS int64) {
 	}
 	at.commitLocked()
 	at.mu.Unlock()
+}
+
+// roundMS converts a duration to milliseconds with microsecond precision,
+// keeping snapshot JSON compact.
+func roundMS(d time.Duration) float64 {
+	return math.Round(float64(d)/float64(time.Microsecond)) / 1000
 }
 
 // commitLocked freezes and retains the trace once released with nothing

@@ -1,7 +1,7 @@
 package obs
 
-// Ring is the bounded drop-oldest buffer of the request tracer, the
-// profiler, the flight recorder and the tsdb event history. It keeps
+// Ring is the bounded drop-oldest buffer of the run and request tracers,
+// the profiler, the flight recorder and the tsdb event history. It keeps
 // items oldest first under a count bound and a byte bound (0 leaves a
 // bound off). An add that crosses a bound evicts the oldest unpinned
 // item, the oldest pinned item only when every other item is pinned, and

@@ -1,39 +1,37 @@
 package obs
 
 import (
-	"math"
+	"cmp"
+	"slices"
 	"sync"
 	"time"
 )
 
-// Tracer assembles spans into a per-run timing tree. Spans opened while
-// another span is active become its children; spans opened at top level
-// become roots. Every span carries a tracer-unique ID and its parent's ID
-// so snapshots can be exported flat (Chrome trace events) as well as
-// nested.
+// Tracer times a run's stages as spans. Spans opened while another span
+// is open become its children; spans opened at top level become roots.
+// Every span carries a tracer-unique ID, assigned in start order, and its
+// parent's ID, so the tracer stores spans flat (SpanRecord) and nests
+// them only when a snapshot asks for the tree.
 //
 // The implicit Start nesting is call-stack shaped: open nested spans from
-// the sequential pipeline driver. Worker goroutines that want their own
-// spans must use Span.Child, which attaches to an explicit parent and
-// never touches the shared stack, making it safe to call from any
-// goroutine.
-// Retention: the tracer keeps at most DefaultSpanLimit spans. When a new
-// span would exceed the cap, whole ended root subtrees are dropped
-// oldest-first and counted — long-running daemons like `hpcmal serve`
-// trace every replay round for the life of the process, and unbounded
-// retention was a slow leak. Active (un-ended) spans are never dropped.
+// the sequential pipeline driver. Parallel work reports through counters
+// and histograms instead, which aggregate in any order.
+//
+// Retention: a span is stored when it ends, in a ring that keeps at most
+// DefaultSpanLimit ended spans; past the cap the oldest ended span is
+// evicted and counted — long-running daemons like `hpcmal serve` trace
+// every replay round for the life of the process, and unbounded
+// retention was a slow leak. Open spans are held on the stack, outside
+// the ring, so nothing still running is ever evicted.
 type Tracer struct {
-	mu      sync.Mutex
-	roots   []*Span
-	stack   []*Span
-	lastID  uint64
-	size    int // spans currently retained (all subtrees)
-	limit   int // 0 = DefaultSpanLimit; in-package tests set a smaller cap
-	dropped int64
-	mDrops  *Counter // optional registry mirror, set via AttachMetrics
+	mu     sync.Mutex
+	open   []*Span           // open spans in start order
+	ended  *Ring[SpanRecord] // ended spans in end order
+	lastID uint64
+	mDrops *Counter // optional registry mirror, set via AttachMetrics
 }
 
-// DefaultSpanLimit is the default cap on retained spans per tracer.
+// DefaultSpanLimit is the default cap on retained ended spans per tracer.
 const DefaultSpanLimit = 8192
 
 // SpansDroppedMetric counts spans evicted from a tracer's retention cap
@@ -41,16 +39,18 @@ const DefaultSpanLimit = 8192
 const SpansDroppedMetric = "obs.spans_dropped"
 
 // NewTracer returns an empty tracer.
-func NewTracer() *Tracer { return &Tracer{} }
+func NewTracer() *Tracer {
+	return &Tracer{ended: NewRing[SpanRecord](DefaultSpanLimit, 0)}
+}
 
-// Dropped returns the number of spans evicted so far.
+// Dropped returns the number of spans evicted since the last Reset.
 func (t *Tracer) Dropped() int64 {
 	if t == nil {
 		return 0
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.dropped
+	return t.ended.Evicted()
 }
 
 // AttachMetrics mirrors the tracer's eviction count into r as the
@@ -66,70 +66,24 @@ func (t *Tracer) AttachMetrics(r *Registry) {
 	c.Add(t.Dropped())
 }
 
-// evictLocked drops the oldest fully-ended root subtrees until the span
-// count fits the limit. Roots still running (or with running children on
-// the active stack) are skipped: dropping them would orphan live spans.
-func (t *Tracer) evictLocked() {
-	limit := t.limit
-	if limit == 0 {
-		limit = DefaultSpanLimit
-	}
-	i := 0
-	for t.size > limit && i < len(t.roots) {
-		if !subtreeEnded(t.roots[i]) {
-			i++
-			continue
-		}
-		n := subtreeSize(t.roots[i])
-		t.roots = append(t.roots[:i], t.roots[i+1:]...)
-		t.size -= n
-		t.dropped += int64(n)
-		t.mDrops.Add(int64(n))
-	}
-}
-
-func subtreeEnded(s *Span) bool {
-	if !s.ended {
-		return false
-	}
-	for _, c := range s.child {
-		if !subtreeEnded(c) {
-			return false
-		}
-	}
-	return true
-}
-
-func subtreeSize(s *Span) int {
-	n := 1
-	for _, c := range s.child {
-		n += subtreeSize(c)
-	}
-	return n
-}
-
 // Span is one timed region of a run. End it exactly once; End is
 // idempotent and nil-safe.
 type Span struct {
-	name   string
-	id     uint64
-	parent uint64
+	rec    SpanRecord // all but DurUS
 	start  time.Time
 	dur    time.Duration
 	ended  bool
-	child  []*Span
 	tracer *Tracer
 }
 
-// ID returns the span's tracer-unique ID (0 for a nil span).
-func (s *Span) ID() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.id
+// record returns the span's record with duration d.
+func (s *Span) record(d time.Duration) SpanRecord {
+	r := s.rec
+	r.DurUS = d.Round(time.Microsecond).Microseconds()
+	return r
 }
 
-// Start opens a span as a child of the innermost active span.
+// Start opens a span as a child of the innermost open span.
 func (t *Tracer) Start(name string) *Span {
 	if t == nil {
 		return nil
@@ -137,37 +91,12 @@ func (t *Tracer) Start(name string) *Span {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.lastID++
-	sp := &Span{name: name, id: t.lastID, start: time.Now(), tracer: t}
-	if n := len(t.stack); n > 0 {
-		top := t.stack[n-1]
-		sp.parent = top.id
-		top.child = append(top.child, sp)
-	} else {
-		t.roots = append(t.roots, sp)
+	now := time.Now()
+	sp := &Span{rec: SpanRecord{Name: name, ID: t.lastID, StartUnixUS: now.UnixMicro()}, start: now, tracer: t}
+	if n := len(t.open); n > 0 {
+		sp.rec.ParentID = t.open[n-1].rec.ID
 	}
-	t.stack = append(t.stack, sp)
-	t.size++
-	t.evictLocked()
-	return sp
-}
-
-// Child opens a span as an explicit child of s without consulting or
-// joining the tracer's active stack. Unlike Start, Child is safe to call
-// from worker goroutines running concurrently with the pipeline driver:
-// the parent is named, not inferred, so parallel children can never
-// corrupt the nesting.
-func (s *Span) Child(name string) *Span {
-	if s == nil {
-		return nil
-	}
-	t := s.tracer
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.lastID++
-	sp := &Span{name: name, id: t.lastID, parent: s.id, start: time.Now(), tracer: t}
-	s.child = append(s.child, sp)
-	t.size++
-	t.evictLocked()
+	t.open = append(t.open, sp)
 	return sp
 }
 
@@ -184,17 +113,35 @@ func (s *Span) End() time.Duration {
 	}
 	s.dur = time.Since(s.start)
 	s.ended = true
-	// Remove s from the active stack wherever it sits, tolerating
-	// out-of-order ends. Detached children (Span.Child) are never on the
-	// stack, so the loop simply misses.
-	for i := len(t.stack) - 1; i >= 0; i-- {
-		if t.stack[i] == s {
-			t.stack = append(t.stack[:i], t.stack[i+1:]...)
+	// Take s off the open stack wherever it sits, tolerating out-of-order
+	// ends, and store it. A span opened before a Reset is no longer on
+	// the stack and stays discarded.
+	for i := len(t.open) - 1; i >= 0; i-- {
+		if t.open[i] == s {
+			t.open = append(t.open[:i], t.open[i+1:]...)
+			if n := t.ended.Add(s.record(s.dur), 0, false); n > 0 {
+				t.mDrops.Add(int64(n))
+			}
 			break
 		}
 	}
-	t.evictLocked()
 	return s.dur
+}
+
+// Records returns the retained spans flat, in start order. Spans not yet
+// ended report their running duration.
+func (t *Tracer) Records() []SpanRecord {
+	if t == nil {
+		return nil
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	out := t.ended.Items()
+	for _, s := range t.open {
+		out = append(out, s.record(time.Since(s.start)))
+	}
+	slices.SortFunc(out, func(a, b SpanRecord) int { return cmp.Compare(a.ID, b.ID) })
+	return out
 }
 
 // SpanSnapshot is the frozen form of a span subtree.
@@ -211,50 +158,51 @@ type SpanSnapshot struct {
 	Children []SpanSnapshot `json:"children,omitempty"`
 }
 
-// Snapshot freezes the current span tree.
+// Snapshot nests the retained spans by parent ID, each level in start
+// order. A span whose parent is no longer retained becomes a root.
 func (t *Tracer) Snapshot() []SpanSnapshot {
-	if t == nil {
-		return nil
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return snapshotSpans(t.roots)
-}
-
-func snapshotSpans(spans []*Span) []SpanSnapshot {
-	if len(spans) == 0 {
-		return nil
-	}
-	out := make([]SpanSnapshot, len(spans))
-	for i, s := range spans {
-		d := s.dur
-		if !s.ended {
-			d = time.Since(s.start)
-		}
-		out[i] = SpanSnapshot{
-			Name:        s.name,
-			ID:          s.id,
-			ParentID:    s.parent,
-			StartUnixUS: s.start.UnixMicro(),
-			WallMS:      roundMS(d),
-			Children:    snapshotSpans(s.child),
+	recs := t.Records()
+	index := make(map[uint64]int, len(recs))
+	children := make([][]int, len(recs))
+	var roots []int
+	for i, r := range recs {
+		index[r.ID] = i
+		// A parent starts before its children, so it is indexed already.
+		if p, ok := index[r.ParentID]; ok {
+			children[p] = append(children[p], i)
+		} else {
+			roots = append(roots, i)
 		}
 	}
-	return out
+	var nest func([]int) []SpanSnapshot
+	nest = func(at []int) []SpanSnapshot {
+		if len(at) == 0 {
+			return nil
+		}
+		out := make([]SpanSnapshot, len(at))
+		for k, i := range at {
+			r := recs[i]
+			out[k] = SpanSnapshot{
+				Name:        r.Name,
+				ID:          r.ID,
+				ParentID:    r.ParentID,
+				StartUnixUS: r.StartUnixUS,
+				WallMS:      float64(r.DurUS) / 1000,
+				Children:    nest(children[i]),
+			}
+		}
+		return out
+	}
+	return nest(roots)
 }
 
-// Reset discards all recorded spans and the active stack.
+// Reset discards all recorded spans, the open stack and the drop count.
 func (t *Tracer) Reset() {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.roots, t.stack, t.lastID, t.size = nil, nil, 0, 0
-}
-
-// roundMS converts a duration to milliseconds with microsecond precision,
-// keeping snapshot JSON compact.
-func roundMS(d time.Duration) float64 {
-	return math.Round(float64(d)/float64(time.Microsecond)) / 1000
+	t.open, t.lastID = nil, 0
+	t.ended = NewRing[SpanRecord](t.ended.maxItems, 0)
 }

@@ -1,6 +1,10 @@
 package obs
 
-import "testing"
+import (
+	"fmt"
+	"strings"
+	"testing"
+)
 
 func flatCount(spans []SpanSnapshot) int {
 	n := 0
@@ -10,48 +14,53 @@ func flatCount(spans []SpanSnapshot) int {
 	return n
 }
 
+func recordNames(recs []SpanRecord) string {
+	names := make([]string, len(recs))
+	for i, r := range recs {
+		names[i] = r.Name
+	}
+	return strings.Join(names, " ")
+}
+
 // TestTracerSpanLimit pins the retention cap on the span tracer: a
-// long-lived daemon can no longer grow the retained slice without
-// bound — the oldest fully-ended root subtrees are evicted and counted.
+// long-lived daemon cannot grow the retained spans without bound. Past
+// the cap the oldest ended span is evicted and counted, whatever its
+// depth, and open spans, which are stored only when they end, survive
+// any cap.
 func TestTracerSpanLimit(t *testing.T) {
+	// A cap of 1 stands in for DefaultSpanLimit so a short test reaches it.
 	tr := NewTracer()
+	tr.ended = NewRing[SpanRecord](1, 0)
 	reg := NewRegistry()
 	tr.AttachMetrics(reg)
 
-	// A live root subtree must survive any cap, even one smaller than
-	// the subtree itself: evicting it would orphan running spans. The
-	// caps here stand in for DefaultSpanLimit so a short test reaches it.
-	tr.limit = 1
 	live := tr.Start("live")
-	liveChild := live.Child("child") // 2 spans over a cap of 1: eviction runs
-	if tr.Dropped() != 0 {
-		t.Fatalf("un-ended root evicted (%d spans dropped)", tr.Dropped())
+	child := tr.Start("child")
+	for i := 0; i < 5; i++ {
+		tr.Start(fmt.Sprintf("leaf%d", i)).End()
 	}
-	if len(tr.Snapshot()) != 1 || tr.Snapshot()[0].Name != "live" {
-		t.Fatalf("live root missing from snapshot: %+v", tr.Snapshot())
+	if got := recordNames(tr.Records()); got != "live child leaf4" {
+		t.Fatalf("retained %q, want both open spans and the newest ended leaf", got)
 	}
-
-	// Once ended, it is ordinary history: driver-style rounds pile up
-	// ended roots and the oldest are dropped to hold the cap.
-	liveChild.End()
-	live.End()
-	tr.limit = 8
-	for i := 0; i < 20; i++ {
-		sp := tr.Start("burst")
-		sp.Child("leaf").End()
-		sp.End()
+	if tr.Dropped() != 4 {
+		t.Fatalf("dropped = %d, want 4", tr.Dropped())
 	}
 	snap := tr.Snapshot()
-	if n := flatCount(snap); n > 8 {
-		t.Fatalf("retained %d spans, cap 8", n)
+	if len(snap) != 1 || len(snap[0].Children) != 1 || len(snap[0].Children[0].Children) != 1 ||
+		snap[0].Children[0].Children[0].Name != "leaf4" {
+		t.Fatalf("snapshot = %+v", snap)
 	}
-	for _, s := range snap {
-		if s.Name == "live" {
-			t.Fatal("oldest ended root survived eviction pressure")
-		}
+
+	// Ended out of order, the root is older than its child and goes
+	// first; the child then becomes a root of the snapshot.
+	live.End()
+	child.End()
+	snap = tr.Snapshot()
+	if len(snap) != 1 || snap[0].Name != "child" || snap[0].ParentID != live.rec.ID {
+		t.Fatalf("snapshot after the root's eviction = %+v", snap)
 	}
-	if tr.Dropped() == 0 {
-		t.Fatal("no spans counted as dropped")
+	if tr.Dropped() != 6 {
+		t.Fatalf("dropped = %d, want 6", tr.Dropped())
 	}
 	if got := reg.Snapshot().Counters[SpansDroppedMetric]; got != tr.Dropped() {
 		t.Fatalf("%s = %d, tracer reports %d", SpansDroppedMetric, got, tr.Dropped())

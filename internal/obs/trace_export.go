@@ -24,48 +24,33 @@ type chromeTrace struct {
 	DisplayTimeUnit string             `json:"displayTimeUnit"`
 }
 
-// WriteChromeTrace exports a span-tree snapshot as Chrome trace-event
-// JSON (complete "X" events), loadable in Perfetto (ui.perfetto.dev) or
+// WriteChromeTrace exports span records as Chrome trace-event JSON
+// (complete "X" events), loadable in Perfetto (ui.perfetto.dev) or
 // chrome://tracing. Timestamps are rebased to the earliest span so the
 // trace starts at t=0; nesting renders by ts/dur containment, and each
 // event's args carry the span and parent IDs for cross-referencing with
 // the metrics snapshot.
-func WriteChromeTrace(w io.Writer, spans []SpanSnapshot) error {
-	var events []chromeTraceEvent
+func WriteChromeTrace(w io.Writer, spans []SpanRecord) error {
 	epoch := int64(math.MaxInt64)
-	var scan func([]SpanSnapshot)
-	scan = func(ss []SpanSnapshot) {
-		for _, s := range ss {
-			if s.StartUnixUS < epoch {
-				epoch = s.StartUnixUS
-			}
-			scan(s.Children)
-		}
+	for _, s := range spans {
+		epoch = min(epoch, s.StartUnixUS)
 	}
-	scan(spans)
-
-	var emit func([]SpanSnapshot)
-	emit = func(ss []SpanSnapshot) {
-		for _, s := range ss {
-			ev := chromeTraceEvent{
-				Name:  s.Name,
-				Phase: "X",
-				TS:    float64(s.StartUnixUS - epoch),
-				Dur:   s.WallMS * 1000,
-				PID:   1,
-				TID:   1,
-				Args:  map[string]any{"id": s.ID},
-			}
-			if s.ParentID != 0 {
-				ev.Args["parent_id"] = s.ParentID
-			}
-			events = append(events, ev)
-			emit(s.Children)
+	// Never nil, so a trace without spans renders an empty array.
+	events := make([]chromeTraceEvent, 0, len(spans))
+	for _, s := range spans {
+		ev := chromeTraceEvent{
+			Name:  s.Name,
+			Phase: "X",
+			TS:    float64(s.StartUnixUS - epoch),
+			Dur:   float64(s.DurUS),
+			PID:   1,
+			TID:   1,
+			Args:  map[string]any{"id": s.ID},
 		}
-	}
-	emit(spans)
-	if events == nil {
-		events = []chromeTraceEvent{}
+		if s.ParentID != 0 {
+			ev.Args["parent_id"] = s.ParentID
+		}
+		events = append(events, ev)
 	}
 
 	enc := json.NewEncoder(w)

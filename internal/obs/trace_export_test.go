@@ -13,13 +13,13 @@ func TestWriteChromeTrace(t *testing.T) {
 	tr := NewTracer()
 	root := tr.Start("experiment.fig13")
 	child := tr.Start("dataset.generate")
-	worker := child.Child("fold.train")
+	worker := tr.Start("fold.train")
 	worker.End()
 	child.End()
 	root.End()
 
 	var b strings.Builder
-	if err := WriteChromeTrace(&b, tr.Snapshot()); err != nil {
+	if err := WriteChromeTrace(&b, tr.Records()); err != nil {
 		t.Fatal(err)
 	}
 	var out struct {
@@ -75,44 +75,5 @@ func TestWriteChromeTraceEmpty(t *testing.T) {
 	}
 	if !strings.Contains(b.String(), `"traceEvents": []`) {
 		t.Errorf("empty export = %s", b.String())
-	}
-}
-
-// TestSpanChildConcurrent proves explicit-parent children are safe from
-// worker goroutines while the driver keeps using the implicit stack.
-func TestSpanChildConcurrent(t *testing.T) {
-	tr := NewTracer()
-	root := tr.Start("pool.run")
-	done := make(chan struct{})
-	for w := 0; w < 8; w++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for i := 0; i < 50; i++ {
-				root.Child("task").End()
-			}
-		}()
-	}
-	// The driver's own nested span stays correctly stacked meanwhile.
-	inner := tr.Start("driver.step")
-	inner.End()
-	for w := 0; w < 8; w++ {
-		<-done
-	}
-	root.End()
-	snap := tr.Snapshot()
-	if len(snap) != 1 {
-		t.Fatalf("roots = %d, want 1", len(snap))
-	}
-	tasks := 0
-	for _, c := range snap[0].Children {
-		if c.Name == "task" {
-			tasks++
-			if c.ParentID != snap[0].ID {
-				t.Fatalf("task parent = %d, want %d", c.ParentID, snap[0].ID)
-			}
-		}
-	}
-	if tasks != 400 {
-		t.Fatalf("task children = %d, want 400", tasks)
 	}
 }

@@ -202,7 +202,7 @@ func (f *Flags) Finish() error {
 		obs.Log().Info("metrics snapshot written", "path", f.MetricsOut)
 	}
 	if f.TraceOut != "" {
-		spans := obs.DefaultTracer.Snapshot()
+		spans := obs.DefaultTracer.Records()
 		err := writeTo(f.TraceOut, func(w io.Writer) error {
 			return obs.WriteChromeTrace(w, spans)
 		})

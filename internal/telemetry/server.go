@@ -55,6 +55,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -435,15 +436,17 @@ func (s *Server) handleTraces(w http.ResponseWriter, r *http.Request) {
 	var f obs.ReqTraceFilter
 	f.Tenant = q.Get("tenant")
 	if v := q.Get("min_duration"); v != "" {
-		if d, err := time.ParseDuration(v); err == nil {
-			f.MinDurMS = float64(d) / float64(time.Millisecond)
-		} else if ms, err := strconv.ParseFloat(v, 64); err == nil {
-			f.MinDurMS = ms
-		} else {
+		ms, err := strconv.ParseFloat(v, 64)
+		if d, derr := time.ParseDuration(v); derr == nil {
+			ms, err = float64(d)/float64(time.Millisecond), nil
+		}
+		// NaN would filter nothing: no duration compares below it.
+		if err != nil || math.IsNaN(ms) || math.IsInf(ms, 0) || ms < 0 {
 			httpapi.Errorf(w, http.StatusBadRequest, httpapi.CodeBadRequest,
-				"bad min_duration %q (want a duration like 100ms or milliseconds)", v)
+				"bad min_duration %q (want a non-negative duration like 100ms or milliseconds)", v)
 			return
 		}
+		f.MinDurMS = ms
 	}
 	if v := q.Get("error"); v == "1" || v == "true" {
 		f.ErrorOnly = true

@@ -2,12 +2,16 @@ package telemetry
 
 import (
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/httpapi"
 	"repro/internal/obs"
 )
 
@@ -113,6 +117,139 @@ func TestTracesEndpoint(t *testing.T) {
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Fatalf("DELETE traces: %d", rec.Code)
 	}
+}
+
+// TestTraceSpansJSON pins the bytes of a request trace's span waterfall
+// on /api/v1/traces/{id}. Request spans share obs.SpanRecord with the run
+// tracer, whose id and parent_id must never render here.
+func TestTraceSpansJSON(t *testing.T) {
+	s, _, _ := testServer(t)
+	rt := obs.NewReqTracer(obs.ReqTracerConfig{HeadRatio: 1})
+	s.SetReqTracer(rt)
+	id := seedTrace(t, rt, "acme", 2*time.Millisecond, "")
+	code, body, _ := get(t, s.Handler(), "/api/v1/traces/"+id)
+	if code != http.StatusOK {
+		t.Fatalf("get %s: %d %s", id, code, body)
+	}
+	var doc struct {
+		Spans json.RawMessage `json:"spans"`
+	}
+	if err := json.Unmarshal([]byte(body), &doc); err != nil {
+		t.Fatal(err)
+	}
+	const want = `[
+    {
+      "name": "ingest.accept",
+      "start_us": 0,
+      "dur_us": 1000,
+      "attrs": [
+        {
+          "key": "windows",
+          "value": 3
+        }
+      ]
+    }
+  ]`
+	if string(doc.Spans) != want {
+		t.Fatalf("spans =\n%s\nwant\n%s", doc.Spans, want)
+	}
+}
+
+// FuzzTracesQuery holds /api/v1/traces to its contract for any tenant,
+// min_duration, error and limit strings: it never panics and answers 200
+// or the 400 envelope, as valid JSON. A 200 applied a finite,
+// non-negative min_duration (a Go duration or milliseconds) and lists at
+// most limit traces (100 by default, 0 for all), newest first, each
+// passing every filter.
+func FuzzTracesQuery(f *testing.F) {
+	rt := obs.NewReqTracer(obs.ReqTracerConfig{HeadRatio: 1})
+	for i, tr := range []struct {
+		tenant string
+		dur    time.Duration
+		err    string
+	}{
+		{"acme", 2 * time.Millisecond, ""},
+		{"beta", 500 * time.Millisecond, ""},
+		{"acme", 3 * time.Millisecond, "queue full"},
+		{"", 40 * time.Millisecond, ""},
+		{"beta", 120 * time.Millisecond, "bad window"},
+	} {
+		start := int64(i) * int64(time.Second)
+		at := rt.Sample(obs.TraceContext{}, "ingest", tr.tenant, start)
+		at.AddSpan("ingest.accept", start, start+int64(time.Millisecond))
+		if tr.err != "" {
+			at.SetError(tr.err)
+		}
+		at.End(start + int64(tr.dur))
+	}
+	s := New(WithRegistry(obs.NewRegistry()), WithBus(obs.NewBus()), WithTracer(obs.NewTracer()))
+	s.SetReqTracer(rt)
+	for _, seed := range [][4]string{
+		{"", "", "", ""},
+		{"acme", "100ms", "1", "1"},
+		{"beta", "100", "true", "0"},
+		{"", "NaN", "", ""},
+		{"", "nan", "", ""},
+		{"", "-Inf", "", ""},
+		{"", "+Inf", "", ""},
+		{"", "-5s", "", ""},
+		{"", "-1", "", ""},
+		{"", "1e400", "", ""},
+		{"", "soon", "", "many"},
+		{"", "0", "0", "-1"},
+	} {
+		f.Add(seed[0], seed[1], seed[2], seed[3])
+	}
+	f.Fuzz(func(t *testing.T, tenant, minDur, errOnly, limit string) {
+		q := url.Values{"tenant": {tenant}, "min_duration": {minDur}, "error": {errOnly}, "limit": {limit}}
+		code, body, _ := get(t, s.Handler(), "/api/v1/traces?"+q.Encode())
+		if !json.Valid([]byte(body)) {
+			t.Fatalf("status %d, body is not JSON: %s", code, body)
+		}
+		switch code {
+		case http.StatusBadRequest:
+			if env := decodeEnvelope(t, body); env.Error.Code != httpapi.CodeBadRequest {
+				t.Fatalf("400 envelope code %q", env.Error.Code)
+			}
+			return
+		case http.StatusOK:
+		default:
+			t.Fatalf("status %d: %s", code, body)
+		}
+		minMS := 0.0
+		if minDur != "" {
+			if d, err := time.ParseDuration(minDur); err == nil {
+				minMS = float64(d) / float64(time.Millisecond)
+			} else if minMS, err = strconv.ParseFloat(minDur, 64); err != nil {
+				t.Fatalf("200 for min_duration %q", minDur)
+			}
+			if math.IsNaN(minMS) || math.IsInf(minMS, 0) || minMS < 0 {
+				t.Fatalf("200 for min_duration %q (%v ms)", minDur, minMS)
+			}
+		}
+		maxTraces := 100
+		if limit != "" {
+			maxTraces, _ = strconv.Atoi(limit) // a 200 parsed it
+		}
+		var res struct {
+			Traces []obs.ReqTraceSummary `json:"traces"`
+		}
+		if err := json.Unmarshal([]byte(body), &res); err != nil {
+			t.Fatalf("200 body does not decode: %v\n%s", err, body)
+		}
+		if maxTraces > 0 && len(res.Traces) > maxTraces {
+			t.Fatalf("%d traces for limit %q", len(res.Traces), limit)
+		}
+		for i, tr := range res.Traces {
+			if i > 0 && tr.StartUnixUS >= res.Traces[i-1].StartUnixUS {
+				t.Fatalf("trace %d starts at %d us, not before %d us", i, tr.StartUnixUS, res.Traces[i-1].StartUnixUS)
+			}
+			if (tenant != "" && tr.Tenant != tenant) || tr.DurMS < minMS ||
+				((errOnly == "1" || errOnly == "true") && tr.Error == "") {
+				t.Fatalf("trace %+v fails tenant %q, min_duration %q or error %q", tr, tenant, minDur, errOnly)
+			}
+		}
+	})
 }
 
 // TestMetricsOpenMetricsNegotiation pins the dual exposition: the
