@@ -134,8 +134,9 @@ func (r *Rule) validate() error {
 
 // ParseRules decodes a rule file: either a bare JSON array of rules or an
 // object with a "rules" key, so files can grow metadata later. An object
-// without that key is an error, not an empty rule set: a bare rule or a
-// misspelled key would otherwise configure no alerts and say nothing.
+// without that key, or a file that is JSON null, is an error, not an
+// empty rule set: a bare rule, a misspelled key or a null would otherwise
+// configure no alerts and say nothing. An empty array is an empty set.
 func ParseRules(raw []byte) ([]Rule, error) {
 	var rules []Rule
 	if err := json.Unmarshal(raw, &rules); err != nil {
@@ -149,6 +150,8 @@ func ParseRules(raw []byte) ([]Rule, error) {
 			return nil, fmt.Errorf(`alert: parsing rules: object has no "rules" array`)
 		}
 		rules = *wrapper.Rules
+	} else if rules == nil {
+		return nil, fmt.Errorf("alert: parsing rules: file is null, not a rule array")
 	}
 	seen := map[string]bool{}
 	for i := range rules {

@@ -38,6 +38,13 @@ func TestParseRules(t *testing.T) {
 	if len(wrapped) != 1 || time.Duration(wrapped[0].For) != 2500*time.Millisecond {
 		t.Fatalf("wrapped = %+v", wrapped)
 	}
+
+	// An empty array, bare or wrapped, is a valid empty rule set.
+	for _, raw := range []string{`[]`, ` [ ] `, `{"rules": []}`} {
+		if rules, err := ParseRules([]byte(raw)); err != nil || len(rules) != 0 {
+			t.Errorf("ParseRules(%s) = %+v, %v; want no rules, no error", raw, rules, err)
+		}
+	}
 }
 
 func TestParseRulesErrors(t *testing.T) {
@@ -53,6 +60,8 @@ func TestParseRulesErrors(t *testing.T) {
 		"bare rule object":     {raw: `{"name": "x", "metric": "m", "op": ">"}`, want: `no "rules"`},
 		"misspelled rules key": {raw: `{"rule": [{"name": "a", "metric": "m", "op": ">", "threshold": 1}]}`, want: `no "rules"`},
 		"null rules":           {raw: `{"rules": null}`, want: `no "rules"`},
+		"null file":            {raw: `null`, want: "null"},
+		"null file with space": {raw: " null \n", want: "null"},
 		// Seconds whose nanoseconds do not fit in int64.
 		"for too long":     {raw: `[{"name": "a", "metric": "m", "op": ">", "threshold": 1, "for": 1e10}]`, want: "out of range"},
 		"for too negative": {raw: `[{"name": "a", "metric": "m", "op": ">", "threshold": 1, "for": -1e10}]`, want: "out of range"},

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ml/eval"
 	"repro/internal/trace"
 )
 
@@ -270,5 +271,25 @@ func TestHeadlineShapes(t *testing.T) {
 	}
 	if accOf(fig17, "MLP") < accOf(fig17, "SVM") {
 		t.Fatal("MLP not ahead of SVM on multiclass; paper claim inverted")
+	}
+}
+
+// TestMcNemarVerdict: the ext-ensemble note names the detector McNemar's
+// test favours, including when the forest loses, as it did at scale
+// 0.05, seed 5 (forest uniquely right on 1 row, J48 on 16).
+func TestMcNemarVerdict(t *testing.T) {
+	for _, c := range []struct {
+		mn   eval.McNemarResult
+		want string
+	}{
+		{eval.McNemarResult{BOnly: 1, COnly: 16, PValue: 0.0011}, "J48 better, significant at alpha=0.05"},
+		{eval.McNemarResult{BOnly: 40, COnly: 9, PValue: 0.00001}, "RandomForest better, significant at alpha=0.05"},
+		{eval.McNemarResult{BOnly: 9, COnly: 5, PValue: 0.42}, "not significant"},
+		{eval.McNemarResult{BOnly: 3, COnly: 9, PValue: 0.05}, "not significant"},
+		{eval.McNemarResult{PValue: 1}, "not significant"},
+	} {
+		if got := mcnemarVerdict(&c.mn, "RandomForest", "J48"); got != c.want {
+			t.Errorf("mcnemarVerdict(%+v) = %q, want %q", c.mn, got, c.want)
+		}
 	}
 }

@@ -85,14 +85,25 @@ func (r *Runner) ExtEnsemble() (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	verdict := "not significant"
-	if mn.Significant(0.05) {
-		verdict = "significant at alpha=0.05"
-	}
 	rep.Notes = append(rep.Notes, fmt.Sprintf(
 		"McNemar RandomForest vs J48: chi2=%.2f p=%.4f (%s; forest uniquely right on %d, tree on %d)",
-		mn.Statistic, mn.PValue, verdict, mn.BOnly, mn.COnly))
+		mn.Statistic, mn.PValue, mcnemarVerdict(mn, "RandomForest", "J48"), mn.BOnly, mn.COnly))
 	return rep, nil
+}
+
+// mcnemarVerdict words McNemar's test of detector a against detector b
+// at alpha 0.05 and, when the difference is significant, names the
+// detector that was uniquely right more often.
+func mcnemarVerdict(mn *eval.McNemarResult, a, b string) string {
+	switch {
+	case !mn.Significant(0.05):
+		return "not significant"
+	case mn.BOnly > mn.COnly:
+		return a + " better, significant at alpha=0.05"
+	case mn.COnly > mn.BOnly:
+		return b + " better, significant at alpha=0.05"
+	}
+	return "significant at alpha=0.05"
 }
 
 // ExtAnomaly evaluates unsupervised detection (Tang'14 direction): fit on

@@ -2,6 +2,7 @@ package infer
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -56,5 +57,44 @@ func TestExpProbePicksReplay(t *testing.T) {
 	}
 	if expProbe(expMode) != true {
 		t.Fatalf("probe no longer matches selected mode %d", expMode)
+	}
+}
+
+// TestSoftmaxMatchesReference requires softmax, whose max class skips
+// its exp, to equal the reference that exponentiates every class, bit for
+// bit: on ties for the max, on NaN, ±Inf and -0 logits, on rows of one
+// class and on random logits of every width the kernels produce.
+func TestSoftmaxMatchesReference(t *testing.T) {
+	nan, inf, negZero := math.NaN(), math.Inf(1), math.Copysign(0, -1)
+	rows := [][]float64{
+		{0}, {negZero}, {5}, {nan}, {inf}, {-inf},
+		{0, 0}, {negZero, 0}, {0, negZero}, {negZero, negZero},
+		{3, 3}, {3, 3, 3}, {1, 3, 3}, {3, 1, 3},
+		{nan, 1}, {1, nan}, {nan, nan},
+		{inf, 1}, {1, inf}, {inf, inf}, {-inf, -inf}, {-inf, 0}, {inf, -inf},
+		{math.MaxFloat64, -math.MaxFloat64}, {-math.MaxFloat64, -math.MaxFloat64},
+		{1e-300, 0}, {-745.2, 0}, {709.8, 0}, {math.SmallestNonzeroFloat64, negZero},
+	}
+	src := rand.New(rand.NewSource(7))
+	for i := 0; i < 5000; i++ {
+		row := make([]float64, 1+src.Intn(8))
+		for c := range row {
+			row[c] = src.NormFloat64() * math.Pow(10, float64(src.Intn(6)-2))
+		}
+		if src.Intn(4) == 0 { // a tie for the max
+			row[src.Intn(len(row))] = row[src.Intn(len(row))]
+		}
+		rows = append(rows, row)
+	}
+	for _, row := range rows {
+		got, want := append([]float64{}, row...), append([]float64{}, row...)
+		softmax(got)
+		refSoftmax(want)
+		for c := range got {
+			if math.Float64bits(got[c]) != math.Float64bits(want[c]) {
+				t.Fatalf("softmax(%v)[%d] = %v (%x), reference %v (%x)",
+					row, c, got[c], math.Float64bits(got[c]), want[c], math.Float64bits(want[c]))
+			}
+		}
 	}
 }

@@ -464,8 +464,12 @@ func softmax(out []float64) {
 	}
 	sum := 0.0
 	for c, sc := range out {
-		out[c] = math.Exp(sc - maxS)
-		sum += out[c]
+		e := 1.0 // exp(±0) is exactly 1, so the max class skips its exp
+		if d := sc - maxS; d != 0 {
+			e = math.Exp(d)
+		}
+		out[c] = e
+		sum += e
 	}
 	for c := range out {
 		out[c] /= sum

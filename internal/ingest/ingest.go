@@ -308,6 +308,9 @@ type Service struct {
 	// rotateEvery constant, shortened only by in-package tests that need
 	// rotations inside a short stream.
 	rotateEvery int
+	// now reads the service's clock in Unix nanoseconds: the wall clock,
+	// replaced only by in-package tests that need exact latencies.
+	now func() int64
 
 	// Per-tenant quality/drift instruments export their gauges into this
 	// private registry (and drift events into the private bus) so the
@@ -338,6 +341,7 @@ func New(cfg Config) (*Service, error) {
 		dim:         len(cfg.Events),
 		tenants:     make(map[string]*tenant),
 		rotateEvery: rotateEvery,
+		now:         wallNS,
 		tenantReg:   obs.NewRegistry(),
 		tenantBus:   obs.NewBus(),
 	}
@@ -383,6 +387,9 @@ func New(cfg Config) (*Service, error) {
 	return s, nil
 }
 
+// wallNS is the wall clock in Unix nanoseconds.
+func wallNS() int64 { return time.Now().UnixNano() }
+
 // Tracer returns the request tracer the service records into (nil when
 // tracing is disabled).
 func (s *Service) Tracer() *obs.ReqTracer { return s.cfg.Tracer }
@@ -413,7 +420,7 @@ func (s *Service) Start(ctx context.Context) {
 		return
 	}
 	s.ctx = ctx
-	s.startNS.Store(time.Now().UnixNano())
+	s.startNS.Store(s.now())
 	go parallel.ForEach(
 		parallel.Options{Name: "ingest.shards", Workers: len(s.shards), Context: ctx},
 		len(s.shards), func(i int) error {
@@ -531,7 +538,7 @@ func (s *Service) EnqueueTraced(tenantID, overflow string, ws []Window, at *obs.
 	// The enqueue stage starts before the tenant lookup: a tenant's first
 	// batch allocates its queue and detectors there, and that time must
 	// fall inside a span, not between the accept and dequeue spans.
-	now := time.Now().UnixNano()
+	now := s.now()
 	t, err := s.getTenant(tenantID)
 	if err != nil {
 		if _, ok := err.(*TenantLimitError); ok {
@@ -577,16 +584,18 @@ func (s *Service) EnqueueTraced(tenantID, overflow string, ws []Window, at *obs.
 				Cap: capN, RetryAfter: s.retryAfter(queued)}
 		}
 		evict := t.n + len(incoming) - capN
-		for i := 0; i < evict; i++ {
-			slot := &t.queue[(t.head+i)%len(t.queue)]
-			// Evicted windows may belong to in-flight traces; settle their
-			// pending counts (and mark the loss) or those traces never
-			// commit.
-			if tr := slot.trace; tr != nil {
-				tr.SetError("windows evicted by drop_oldest")
-				tr.FinishPending(1, now)
+		a, b := t.segments(0, evict)
+		for _, seg := range [...][]queuedWindow{a, b} {
+			for i := range seg {
+				// Evicted windows may belong to in-flight traces; settle
+				// their pending counts (and mark the loss) or those traces
+				// never commit.
+				if tr := seg[i].trace; tr != nil {
+					tr.SetError("windows evicted by drop_oldest")
+					tr.FinishPending(1, now)
+				}
 			}
-			*slot = queuedWindow{}
+			clear(seg)
 		}
 		t.head = (t.head + evict) % len(t.queue)
 		t.n -= evict
@@ -598,23 +607,29 @@ func (s *Service) EnqueueTraced(tenantID, overflow string, ws []Window, at *obs.
 	// Grow the trace's pending count before any stamped window becomes
 	// visible to a shard worker, so the trace cannot commit mid-batch.
 	at.AddPending(len(incoming))
-	for _, w := range ws[len(ws)-len(incoming):] {
-		label := int8(-1)
-		if w.Label != nil {
-			label = int8(*w.Label)
+	src := incoming
+	a, b := t.segments(t.n, len(src))
+	for _, seg := range [...][]queuedWindow{a, b} {
+		for i := range seg {
+			w := &src[i]
+			label := int8(-1)
+			if w.Label != nil {
+				label = int8(*w.Label)
+			}
+			seg[i] = queuedWindow{
+				endpoint: w.Endpoint, label: label,
+				enqueuedNS: now, values: w.Values, trace: at,
+			}
 		}
-		t.queue[(t.head+t.n)%len(t.queue)] = queuedWindow{
-			endpoint: w.Endpoint, label: label,
-			enqueuedNS: now, values: w.Values, trace: at,
-		}
-		t.n++
+		src = src[len(seg):]
 	}
+	t.n += len(incoming)
 	res.Accepted = len(incoming)
 	res.Queued = t.n
 	t.mu.Unlock()
 
 	if at != nil {
-		at.AddSpan("ingest.enqueue", now, time.Now().UnixNano(),
+		at.AddSpan("ingest.enqueue", now, s.now(),
 			obs.ReqAttr{Key: "accepted", Value: float64(res.Accepted)},
 			obs.ReqAttr{Key: "dropped", Value: float64(res.Dropped)},
 			obs.ReqAttr{Key: "queued", Value: float64(res.Queued)})
@@ -646,11 +661,26 @@ func (t *tenant) grow(need, capN int) int {
 	}
 	size = min(size, capN)
 	q := make([]queuedWindow, size)
-	k := copy(q[:t.n], t.queue[t.head:])
-	copy(q[k:t.n], t.queue[:t.n-k])
+	a, b := t.segments(0, t.n)
+	copy(q[copy(q, a):], b)
 	added := size - len(t.queue)
 	t.queue, t.head = q, 0
 	return added
+}
+
+// segments returns the ring slots of n windows starting off windows past
+// the head: at most two contiguous runs, the second starting at slot 0
+// when the span wraps. Caller holds t.mu, and off+n is at most the ring
+// length.
+func (t *tenant) segments(off, n int) (a, b []queuedWindow) {
+	start := t.head + off
+	if start >= len(t.queue) {
+		start -= len(t.queue)
+	}
+	if end := start + n; end > len(t.queue) {
+		return t.queue[start:], t.queue[:end-len(t.queue)]
+	}
+	return t.queue[start : start+n], nil
 }
 
 // retryAfter estimates how long a rejected producer should back off:
@@ -678,7 +708,7 @@ func (s *Service) drainRate() float64 {
 	if start == 0 {
 		return 0
 	}
-	elapsed := float64(time.Now().UnixNano()-start) / float64(time.Second)
+	elapsed := float64(s.now()-start) / float64(time.Second)
 	if elapsed <= 0 {
 		return 0
 	}
@@ -719,11 +749,13 @@ func (s *Service) runShard(ctx context.Context, idx int) {
 // shardScratch is one worker's reusable classification buffers: the
 // steady-state hot path allocates nothing per window.
 type shardScratch struct {
-	ws    []queuedWindow
-	X     [][]float64
-	dst   []int
-	proba [][]float64
-	shard int
+	ws     []queuedWindow
+	X      [][]float64
+	dst    []int
+	proba  [][]float64
+	labels []int     // scoreboard labels, -1 for unlabeled windows
+	scores []float64 // scoreboard scores
+	shard  int
 }
 
 // release drops the chunk's references to its windows once they have
@@ -736,9 +768,11 @@ func (sc *shardScratch) release() {
 
 func newShardScratch(s *Service, chunk int) *shardScratch {
 	sc := &shardScratch{
-		ws:  make([]queuedWindow, 0, chunk),
-		X:   make([][]float64, 0, chunk),
-		dst: make([]int, chunk),
+		ws:     make([]queuedWindow, 0, chunk),
+		X:      make([][]float64, 0, chunk),
+		dst:    make([]int, chunk),
+		labels: make([]int, chunk),
+		scores: make([]float64, chunk),
 	}
 	if s.prog != nil && s.prog.HasProba() {
 		sc.proba = make([][]float64, chunk)
@@ -754,42 +788,39 @@ func newShardScratch(s *Service, chunk int) *shardScratch {
 // windows it processed.
 func (s *Service) drainTenant(t *tenant, sc *shardScratch) int {
 	t.mu.Lock()
-	n := t.n
+	n := min(t.n, drainChunk)
 	if n == 0 {
 		t.mu.Unlock()
 		return 0
 	}
 	depth := t.n
-	if n > drainChunk {
-		n = drainChunk
-	}
-	traced := false
-	sc.ws = sc.ws[:0]
-	for i := 0; i < n; i++ {
-		slot := &t.queue[(t.head+i)%len(t.queue)]
-		if slot.trace != nil {
-			traced = true
-		}
-		sc.ws = append(sc.ws, *slot)
-		*slot = queuedWindow{}
-	}
+	// The chunk leaves the ring in at most two contiguous copies, and the
+	// slots it leaves are cleared.
+	a, b := t.segments(0, n)
+	sc.ws = append(append(sc.ws[:0], a...), b...)
+	clear(a)
+	clear(b)
 	t.head = (t.head + n) % len(t.queue)
 	t.n -= n
 	t.mu.Unlock()
 	defer sc.release()
 
+	traced := false
+	sc.X = sc.X[:0]
+	for i := range sc.ws {
+		sc.X = append(sc.X, sc.ws[i].values)
+		if sc.ws[i].trace != nil {
+			traced = true
+		}
+	}
 	// Timestamps for the per-stage spans are taken only when this chunk
 	// carries at least one sampled window: the unsampled path adds no
 	// clock reads and no branches beyond one nil check per window.
 	var dequeueNS int64
 	if traced {
-		dequeueNS = time.Now().UnixNano()
+		dequeueNS = s.now()
 	}
 
-	sc.X = sc.X[:0]
-	for i := range sc.ws {
-		sc.X = append(sc.X, sc.ws[i].values)
-	}
 	dst := sc.dst[:n]
 	var probClf ml.ProbClassifier
 	if s.prog != nil {
@@ -806,7 +837,7 @@ func (s *Service) drainTenant(t *tenant, sc *shardScratch) int {
 			// validation excludes; log and drop the chunk rather than spin.
 			obs.Log().Error("ingest: compiled predict failed", "err", err)
 			if traced {
-				endNS := time.Now().UnixNano()
+				endNS := s.now()
 				for i := range sc.ws {
 					if tr := sc.ws[i].trace; tr != nil {
 						tr.SetError(err.Error())
@@ -823,63 +854,62 @@ func (s *Service) drainTenant(t *tenant, sc *shardScratch) int {
 		probClf, _ = s.cfg.Classifier.(ml.ProbClassifier)
 	}
 
-	now := time.Now().UnixNano()
+	now := s.now()
+	labels, scores := sc.labels[:n], sc.scores[:n]
 	var malware, alarms int64
-	// Drift sketches the chunk one segment at a time: a segment ends at
-	// the window whose count reaches rotateEvery, so the rotation's
-	// Advance sees exactly the windows a per-window Observe would have
-	// given it.
-	seg := 0
-	for i := range sc.ws {
-		w := &sc.ws[i]
-		pred := dst[i]
-		score := float64(pred)
-		if sc.proba != nil {
-			score = malwareScore(sc.proba[i], pred)
-		} else if probClf != nil {
-			if p := probClf.Proba(w.values); len(p) > 0 {
-				score = malwareScore(p, pred)
+	es, epID := t.endpoint(sc.ws[0].endpoint), sc.ws[0].endpoint
+	// The scoreboard and the drift sketches take the chunk one segment at
+	// a time: a segment ends at the window whose count reaches
+	// rotateEvery, so each rotation's Advance sees exactly the windows a
+	// per-window Observe would have given it.
+	for seg := 0; seg < n; {
+		end := min(n, seg+max(s.rotateEvery-t.sinceRotate, 1))
+		for i := seg; i < end; i++ {
+			w := &sc.ws[i]
+			pred := dst[i]
+			score := float64(pred)
+			if sc.proba != nil {
+				score = malwareScore(sc.proba[i], pred)
+			} else if probClf != nil {
+				if p := probClf.Proba(w.values); len(p) > 0 {
+					score = malwareScore(p, pred)
+				}
+			}
+			labels[i], scores[i] = int(w.label), score
+			if pred == 1 {
+				malware++
+			}
+			// A run of one endpoint's windows shares one smoother lookup.
+			if w.endpoint != epID {
+				es, epID = t.endpoint(w.endpoint), w.endpoint
+			}
+			if es != nil {
+				raised := es.sm.Observe(pred)
+				if raised && !es.alarmed {
+					alarms++
+					// Tail rule: a trace whose window tripped the online
+					// alarm is pinned against ring eviction (nil-safe no-op
+					// when the window is untraced).
+					w.trace.Keep("alarm")
+					s.cfg.Bus.Publish(obs.Event{Type: EventAlarm,
+						Sample: w.endpoint, Class: t.id, Value: score})
+				}
+				es.alarmed = raised
 			}
 		}
-		if pred == 1 {
-			malware++
-		}
-		if w.label >= 0 {
-			t.board.Observe(int(w.label), pred, score)
-		}
-		if es := t.endpoint(w.endpoint); es != nil {
-			raised := es.sm.Observe(pred)
-			if raised && !es.alarmed {
-				alarms++
-				// Tail rule: a trace whose window tripped the online alarm
-				// is pinned against ring eviction (nil-safe no-op when the
-				// window is untraced).
-				w.trace.Keep("alarm")
-				s.cfg.Bus.Publish(obs.Event{Type: EventAlarm,
-					Sample: w.endpoint, Class: t.id, Value: score})
-			}
-			es.alarmed = raised
-		}
-		t.sinceRotate++
+		t.board.ObserveChunk(labels[seg:end], dst[seg:end], scores[seg:end])
+		t.drift.ObserveChunk(sc.X[seg:end])
+		t.sinceRotate += end - seg
 		if t.sinceRotate >= s.rotateEvery {
 			t.board.Advance()
 			if t.drift != nil {
-				t.drift.ObserveChunk(sc.X[seg : i+1])
 				t.drift.Advance()
 			}
-			seg = i + 1
 			t.sinceRotate = 0
 		}
-		lat := float64(now-w.enqueuedNS) / float64(time.Second)
-		if w.trace != nil {
-			s.hLatency.ObserveExemplar(lat, w.trace.TraceID(), now/1e6)
-		} else {
-			s.hLatency.Observe(lat)
-		}
+		seg = end
 	}
-	if t.drift != nil {
-		t.drift.ObserveChunk(sc.X[seg:])
-	}
+	s.observeLatency(sc.ws, now)
 	if traced {
 		s.emitDrainSpans(sc, n, depth, dequeueNS, now)
 	}
@@ -900,13 +930,35 @@ func (s *Service) drainTenant(t *tenant, sc *shardScratch) int {
 	return n
 }
 
+// observeLatency records each window's ingest-to-verdict latency, in
+// arrival order so the histogram's sum adds in that order. A run of
+// untraced windows that share an enqueue stamp (a batch's windows do)
+// is one ObserveN; a traced window takes its own ObserveExemplar.
+func (s *Service) observeLatency(ws []queuedWindow, now int64) {
+	for i := 0; i < len(ws); {
+		w := &ws[i]
+		lat := float64(now-w.enqueuedNS) / float64(time.Second)
+		if w.trace != nil {
+			s.hLatency.ObserveExemplar(lat, w.trace.TraceID(), now/1e6)
+			i++
+			continue
+		}
+		j := i + 1
+		for j < len(ws) && ws[j].trace == nil && ws[j].enqueuedNS == w.enqueuedNS {
+			j++
+		}
+		s.hLatency.ObserveN(lat, j-i)
+		i = j
+	}
+}
+
 // emitDrainSpans closes the drain-side spans for every sampled trace in
 // the chunk: one dequeue/infer/quality span triple per trace (windows of
 // one batch are consecutive in arrival order, so traces group into runs)
 // and the pending-count settlement that commits a trace once its last
 // window has a verdict. Only called for chunks that carry a trace.
 func (s *Service) emitDrainSpans(sc *shardScratch, n, depth int, dequeueNS, inferEndNS int64) {
-	qEndNS := time.Now().UnixNano()
+	qEndNS := s.now()
 	var at *obs.ActiveTrace
 	count := 0
 	firstEnq := int64(0)
@@ -1115,7 +1167,7 @@ func (s *Service) Stats() Stats {
 		st.Precision = spec.Precision.String()
 	}
 	if start := s.startNS.Load(); start > 0 {
-		st.UptimeSeconds = float64(time.Now().UnixNano()-start) / float64(time.Second)
+		st.UptimeSeconds = float64(s.now()-start) / float64(time.Second)
 		if st.UptimeSeconds > 0 {
 			st.WindowsPerSec = float64(st.WindowsProcessed) / st.UptimeSeconds
 		}

@@ -4,6 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -547,6 +549,199 @@ func TestDrainDriftMatchesPerWindowReplay(t *testing.T) {
 	}
 	if string(got) != string(want) {
 		t.Fatalf("drained drift differs from the per-window replay:\n--- drain\n%s\n--- replay\n%s", got, want)
+	}
+}
+
+// TestDrainMatchesReference runs one random stream through twin services
+// on one fake clock: one drained by drainTenant, the other by the
+// per-window reference loop in drain_ref_test.go, with the same drains in
+// the same order. At rotateEvery = 16 chunks straddle rotations.
+// Every other batch keeps the previous batch's enqueue stamp, traced or
+// not, so stamp runs cross batch and trace boundaries. Endpoints arrive
+// in runs, and one tenant passes the per-tenant smoother cap. Receipts,
+// tenant quality and drift JSON, both registries (the latency
+// histogram's sum to the bit), tenant summaries, stats, retained traces
+// and every bus event must match.
+func TestDrainMatchesReference(t *testing.T) {
+	arm := mlpDetector(t)
+	clock := int64(1_700_000_000_000_000_000)
+	type twin struct {
+		s      *Service
+		rt     *obs.ReqTracer
+		sc     *shardScratch
+		drain  func(*Service, *tenant, *shardScratch) int
+		subs   []*obs.Subscription
+		events []obs.Event
+	}
+	newTwin := func(drain func(*Service, *tenant, *shardScratch) int) *twin {
+		rt := obs.NewReqTracer(obs.ReqTracerConfig{})
+		s, err := New(testConfig(t, func(c *Config) {
+			arm(c)
+			c.QueueCap = 2048
+			c.Tracer = rt
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.rotateEvery = 16
+		s.now = func() int64 { return clock }
+		tw := &twin{s: s, rt: rt, sc: newShardScratch(s, drainChunk), drain: drain}
+		for _, bus := range []*obs.Bus{s.cfg.Bus, s.tenantBus} {
+			sub := bus.Subscribe(4096)
+			t.Cleanup(sub.Close)
+			tw.subs = append(tw.subs, sub)
+		}
+		return tw
+	}
+	got, want := newTwin((*Service).drainTenant), newTwin(refDrainTenant)
+	twins := []*twin{got, want}
+	collect := func() {
+		for _, tw := range twins {
+			for _, sub := range tw.subs {
+				for len(sub.Events()) > 0 {
+					e := <-sub.Events()
+					e.TimeUnixMS = 0 // stamped from the wall clock by Publish
+					tw.events = append(tw.events, e)
+				}
+			}
+		}
+	}
+	latency := func(tw *twin) obs.HistogramSnapshot {
+		return tw.s.cfg.Registry.Snapshot().Histograms[VerdictLatencyMetric]
+	}
+	src := rand.New(rand.NewSource(21))
+	// Exemplars keep only the newest per bucket, so the histogram is
+	// compared after every drain, before later windows overwrite them.
+	drain := func(id string) {
+		clock += int64(1+src.Intn(900)) * 1000
+		for _, tw := range twins {
+			if ten := tw.s.lookupTenant(id); ten != nil {
+				tw.drain(tw.s, ten, tw.sc)
+			}
+		}
+		collect()
+		if g, w := latency(got), latency(want); fmt.Sprintf("%+v", g) != fmt.Sprintf("%+v", w) ||
+			math.Float64bits(g.Sum) != math.Float64bits(w.Sum) {
+			t.Fatalf("latency histogram after a drain of %s:\n--- drain\n%+v\n--- reference\n%+v", id, g, w)
+		}
+	}
+
+	tenants := []string{ReplayTenant, "acme", "wide"}
+	wide, id := 0, "acme"
+	for b := 0; b < 80; b++ {
+		// Half the batches follow the previous one into its tenant.
+		if src.Intn(2) == 0 {
+			id = tenants[src.Intn(len(tenants))]
+		}
+		ws := make([]Window, 1+src.Intn(700))
+		for i := 0; i < len(ws); {
+			ep := []string{"", "ep-a", "ep-b", "ep-c", "ep-d"}[src.Intn(5)]
+			if id == "wide" {
+				ep = fmt.Sprintf("w%04d", wide)
+				wide++
+			}
+			for run := 1 + src.Intn(6); run > 0 && i < len(ws); run, i = run-1, i+1 {
+				class := src.Intn(2)
+				v := []float64{0.1 + 0.8*float64(class) + 0.3*src.NormFloat64(),
+					0.2 + 0.2*src.NormFloat64(), 0.3 + 0.2*src.NormFloat64(), 0.4 + 0.2*src.NormFloat64()}
+				if b >= 25 && b < 45 {
+					v[3] += 3 // a shifted phase for the drift detector
+				}
+				ws[i] = Window{Endpoint: ep, Values: v}
+				if src.Intn(5) > 0 {
+					lbl := class
+					if src.Intn(10) == 0 {
+						lbl = 1 - class
+					}
+					ws[i].Label = &lbl
+				}
+			}
+		}
+		if b%2 != 0 {
+			clock += int64(1+src.Intn(5000)) * 1000
+		}
+		traced := src.Intn(3) == 0
+		overflow := ""
+		if id == "wide" {
+			overflow = OverflowDropOldest
+		}
+		var receipts [2]string
+		for k, tw := range twins {
+			var at *obs.ActiveTrace
+			if traced {
+				tc := obs.TraceContext{TraceHi: uint64(b + 1), TraceLo: 7, Span: 9, Flags: obs.FlagSampled}
+				at = tw.rt.Sample(tc, "ingest", id, clock)
+			}
+			res, err := tw.s.EnqueueTraced(id, overflow, ws, at)
+			at.End(clock)
+			receipts[k] = fmt.Sprint(res, err)
+		}
+		if receipts[0] != receipts[1] {
+			t.Fatalf("batch %d: receipt %s, reference %s", b, receipts[0], receipts[1])
+		}
+		// The wide tenant drains rarely, so its drop-oldest queue
+		// overflows and evicts.
+		for k := src.Intn(3); k > 0; k-- {
+			d := tenants[src.Intn(2)]
+			if src.Intn(6) == 0 {
+				d = "wide"
+			}
+			drain(d)
+		}
+	}
+	for _, id := range tenants {
+		for got.s.lookupTenant(id).n > 0 {
+			drain(id)
+		}
+	}
+
+	jsonOf := func(v any) string {
+		t.Helper()
+		b, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	same := func(what string, g, w any) {
+		t.Helper()
+		if a, b := jsonOf(g), jsonOf(w); a != b {
+			t.Fatalf("%s differs from the reference drain:\n--- drain\n%s\n--- reference\n%s", what, a, b)
+		}
+	}
+	for _, id := range tenants {
+		gq, _ := got.s.TenantQuality(id)
+		wq, _ := want.s.TenantQuality(id)
+		same("tenant "+id+" quality", gq, wq)
+		gd, _, _ := got.s.TenantDrift(id)
+		wd, _, _ := want.s.TenantDrift(id)
+		same("tenant "+id+" drift", gd, wd)
+	}
+	same("service registry", got.s.cfg.Registry.Snapshot(), want.s.cfg.Registry.Snapshot())
+	same("tenant registry", got.s.tenantReg.Snapshot(), want.s.tenantReg.Snapshot())
+	same("tenant summaries", got.s.Tenants(), want.s.Tenants())
+	same("stats", got.s.Stats(), want.s.Stats())
+	same("bus events", got.events, want.events)
+	gl, wl := got.rt.List(obs.ReqTraceFilter{}), want.rt.List(obs.ReqTraceFilter{})
+	same("trace list", gl, wl)
+	for _, sum := range gl {
+		g, _ := got.rt.Get(sum.TraceID)
+		w, _ := want.rt.Get(sum.TraceID)
+		same("trace "+sum.TraceID, g, w)
+	}
+	gh := latency(got)
+
+	// The stream reached what the test is for.
+	st := got.s.Stats()
+	kinds := map[string]int{}
+	for _, e := range got.events {
+		kinds[e.Type]++
+	}
+	if wideSum, _ := got.s.Tenant("wide"); st.Alarms == 0 || kinds[quality.EventDrift] == 0 ||
+		len(gh.Exemplars) == 0 || len(gl) == 0 || gh.Count != st.WindowsProcessed ||
+		wideSum.Endpoints != maxEndpoints || st.WindowsDropped == 0 {
+		t.Fatalf("stream too tame: stats %+v, events %v, %d exemplars, %d traces, wide tenant %+v",
+			st, kinds, len(gh.Exemplars), len(gl), wideSum)
 	}
 }
 

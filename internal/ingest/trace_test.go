@@ -90,7 +90,7 @@ func TestIngestTraceWaterfall(t *testing.T) {
 	if snap.Tenant != "acme" || snap.Name != "ingest" || snap.Error != "" {
 		t.Fatalf("trace = %+v", snap)
 	}
-	stages := map[string]obs.ReqSpan{}
+	stages := map[string]obs.SpanRecord{}
 	for _, sp := range snap.Spans {
 		stages[sp.Name] = sp
 	}

@@ -3,7 +3,9 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
@@ -33,6 +35,7 @@ func TestCounterGaugeBasics(t *testing.T) {
 	ng.Set(1)
 	var nh *Histogram
 	nh.Observe(1)
+	nh.ObserveN(1, 3)
 }
 
 func TestHistogramBucketBoundaries(t *testing.T) {
@@ -60,6 +63,57 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 	if math.Abs(s.Sum-11.1) > 1e-9 {
 		t.Errorf("sum = %v, want 11.1", s.Sum)
+	}
+}
+
+// TestHistogramRunMatchesReference feeds random runs of equal values to
+// ObserveN, interleaved with ObserveExemplar and single Observes, and the
+// same values one at a time to the reference per-value observe. Counts,
+// count, min, max, exemplars and the bits of the sum must match.
+func TestHistogramRunMatchesReference(t *testing.T) {
+	values := []float64{0, math.Copysign(0, -1), 1e-4, 0.005, 0.01, 0.0100000001,
+		0.25, 1, 2.5, 10, 1e6, -3, math.Inf(1), math.Inf(-1), math.NaN()}
+	for seed := int64(1); seed <= 50; seed++ {
+		src := rand.New(rand.NewSource(seed))
+		got, want := newHistogram(TimeBuckets), newHistogram(TimeBuckets)
+		for op := 0; op < 200; op++ {
+			v := src.Float64() * 0.2
+			if src.Intn(4) == 0 {
+				v = values[src.Intn(len(values))]
+			}
+			switch src.Intn(6) {
+			case 0:
+				id := fmt.Sprintf("trace-%d", op)
+				got.ObserveExemplar(v, id, int64(op))
+				refObserveExemplar(want, v, id, int64(op))
+			case 1:
+				got.Observe(v)
+				refObserve(want, v)
+			default:
+				n := src.Intn(40)
+				got.ObserveN(v, n)
+				for i := 0; i < n; i++ {
+					refObserve(want, v)
+				}
+			}
+		}
+		g, w := got.snapshot(), want.snapshot()
+		if fmt.Sprint(g.Counts) != fmt.Sprint(w.Counts) || g.Count != w.Count ||
+			math.Float64bits(g.Sum) != math.Float64bits(w.Sum) ||
+			math.Float64bits(g.Min) != math.Float64bits(w.Min) ||
+			math.Float64bits(g.Max) != math.Float64bits(w.Max) {
+			t.Fatalf("seed %d: run form %+v, per value %+v", seed, g, w)
+		}
+		if fmt.Sprintf("%+v", g.Exemplars) != fmt.Sprintf("%+v", w.Exemplars) {
+			t.Fatalf("seed %d: exemplars %+v, per value %+v", seed, g.Exemplars, w.Exemplars)
+		}
+	}
+	// n <= 0 records nothing, also on an empty histogram.
+	h := newHistogram(TimeBuckets)
+	h.ObserveN(1, 0)
+	h.ObserveN(1, -3)
+	if s := h.snapshot(); s.Count != 0 || s.Sum != 0 || s.Min != 0 || s.Max != 0 {
+		t.Fatalf("ObserveN with n <= 0 recorded %+v", s)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // Metric names published by the request tracer.
@@ -42,9 +43,6 @@ type SpanRecord struct {
 	DurUS int64     `json:"dur_us"`
 	Attrs []ReqAttr `json:"attrs,omitempty"`
 }
-
-// ReqSpan is the request tracer's name for SpanRecord.
-type ReqSpan = SpanRecord
 
 // ReqTraceSnapshot is one completed request trace: the root identity plus
 // the flat span waterfall, ordered as recorded.
@@ -329,14 +327,15 @@ func (rt *ReqTracer) retain(snap ReqTraceSnapshot) {
 }
 
 // estimateTraceBytes approximates a snapshot's retained footprint for the
-// ring budget: struct headers plus string payloads.
+// ring budget: each struct at its unsafe.Sizeof plus string payloads.
 func estimateTraceBytes(s *ReqTraceSnapshot) int64 {
-	n := 160 + len(s.TraceID) + len(s.ParentSpanID) + len(s.Name) +
+	n := int(unsafe.Sizeof(*s)) + len(s.TraceID) + len(s.ParentSpanID) + len(s.Name) +
 		len(s.Tenant) + len(s.Error) + len(s.KeepReason)
 	for i := range s.Spans {
-		n += 56 + len(s.Spans[i].Name)
-		for j := range s.Spans[i].Attrs {
-			n += 32 + len(s.Spans[i].Attrs[j].Key)
+		sp := &s.Spans[i]
+		n += int(unsafe.Sizeof(*sp)) + len(sp.Name)
+		for j := range sp.Attrs {
+			n += int(unsafe.Sizeof(sp.Attrs[j])) + len(sp.Attrs[j].Key)
 		}
 	}
 	return int64(n)

@@ -170,6 +170,44 @@ func TestReqTracerEviction(t *testing.T) {
 	}
 }
 
+// TestEstimateTraceBytes pins the ring-budget charge of a retained trace:
+// a 144-byte snapshot header, 72 bytes per span and 24 per attribute,
+// each struct's unsafe.Sizeof on a 64-bit platform, plus every string's
+// bytes.
+func TestEstimateTraceBytes(t *testing.T) {
+	span := func(name string, keys ...string) SpanRecord {
+		sp := SpanRecord{Name: name}
+		for _, k := range keys {
+			sp.Attrs = append(sp.Attrs, ReqAttr{Key: k, Value: 1})
+		}
+		return sp
+	}
+	cases := []struct {
+		name string
+		snap ReqTraceSnapshot
+		want int64
+	}{
+		{"empty", ReqTraceSnapshot{}, 144},
+		{"strings", ReqTraceSnapshot{TraceID: "0af7651916cd43dd8448eb211c80319c",
+			ParentSpanID: "b7ad6b7169203331", Name: "ingest", Tenant: "acme",
+			Error: "boom", KeepReason: "error"}, 144 + 32 + 16 + 6 + 4 + 4 + 5},
+		{"span with 0 attrs", ReqTraceSnapshot{Spans: []SpanRecord{span("span")}}, 144 + 72 + 4},
+		{"span with 1 attr", ReqTraceSnapshot{Spans: []SpanRecord{span("span", "k")}}, 144 + 72 + 4 + 24 + 1},
+		{"span with 2 attrs", ReqTraceSnapshot{Spans: []SpanRecord{span("span", "k", "kk")}}, 144 + 72 + 4 + 2*24 + 3},
+		{"span with 3 attrs", ReqTraceSnapshot{Spans: []SpanRecord{span("span", "k", "kk", "kkk")}}, 144 + 72 + 4 + 3*24 + 6},
+		// The five ingest stages carry 1, 3, 2, 2 and 1 attributes:
+		// 720 bytes of structs, where 160 + 5*56 + 9*32 = 728 were charged.
+		{"ingest stages", ReqTraceSnapshot{Spans: []SpanRecord{
+			span("", ""), span("", "", "", ""), span("", "", ""), span("", "", ""), span("", ""),
+		}}, 720},
+	}
+	for _, c := range cases {
+		if got := estimateTraceBytes(&c.snap); got != c.want {
+			t.Errorf("%s: estimateTraceBytes = %d, want %d", c.name, got, c.want)
+		}
+	}
+}
+
 // TestReqTracerNewestUnkeptLands: with every retained trace tail-kept,
 // an unkept trace that commits over the bound still lands, so the
 // trace_id its receipt returned resolves, and the oldest kept trace goes.

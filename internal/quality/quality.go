@@ -187,35 +187,56 @@ func (s *Scoreboard) scoreBin(score float64) int {
 	return bin
 }
 
-// Observe scores one labeled prediction. score is the model's reported
-// probability for the positive (malware) class on binary boards, or its
-// confidence in the predicted class otherwise; callers without
-// probabilities pass the 0/1 verdict, which degrades calibration to a
-// two-spike reliability curve but keeps the confusion metrics exact.
-// Labels outside [0, NumClasses) are ignored.
+// Observe scores one labeled prediction: ObserveChunk of one window.
+// score is the model's reported probability for the positive (malware)
+// class on binary boards, or its confidence in the predicted class
+// otherwise; callers without probabilities pass the 0/1 verdict, which
+// degrades calibration to a two-spike reliability curve but keeps the
+// confusion metrics exact. Labels outside [0, NumClasses) are ignored.
 func (s *Scoreboard) Observe(actual, predicted int, score float64) {
-	if s == nil || actual < 0 || actual >= s.cfg.NumClasses ||
-		predicted < 0 || predicted >= s.cfg.NumClasses {
+	s.ObserveChunk([]int{actual}, []int{predicted}, []float64{score})
+}
+
+// ObserveChunk scores a chunk of labeled predictions under one lock, with
+// counts and calibration sums bit-identical to one Observe per window in
+// order: actual[i], predicted[i] and scores[i] describe window i. Windows
+// whose label or prediction falls outside [0, NumClasses) are skipped,
+// so callers pass unlabeled windows with label -1.
+func (s *Scoreboard) ObserveChunk(actual, predicted []int, scores []float64) {
+	if s == nil {
 		return
 	}
-	pos := actual == predicted
-	if s.cfg.NumClasses == 2 {
-		pos = actual == 1
-	}
-	bin := s.scoreBin(score)
+	k := s.cfg.NumClasses
+	predicted, scores = predicted[:len(actual)], scores[:len(actual)]
+	var n int64
 	s.mu.Lock()
 	e := s.epochs[s.cur]
-	e.conf.Observe(actual, predicted)
-	e.scoreHist[actual][bin]++
-	e.calN[bin]++
-	e.calScore[bin] += score
-	if pos {
-		e.calPos[bin]++
+	for i, a := range actual {
+		p := predicted[i]
+		if a < 0 || a >= k || p < 0 || p >= k {
+			continue
+		}
+		pos := a == p
+		if k == 2 {
+			pos = a == 1
+		}
+		score := scores[i]
+		bin := s.scoreBin(score)
+		e.conf.Observe(a, p)
+		e.scoreHist[a][bin]++
+		e.calN[bin]++
+		e.calScore[bin] += score
+		if pos {
+			e.calPos[bin]++
+		}
+		n++
 	}
-	e.n++
-	s.observed++
+	e.n += n
+	s.observed += n
 	s.mu.Unlock()
-	s.mObserved.Inc()
+	if n > 0 {
+		s.mObserved.Add(n)
+	}
 }
 
 // Advance rotates the epoch ring, evicting the oldest epoch, and

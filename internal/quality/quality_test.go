@@ -1,7 +1,10 @@
 package quality
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -181,5 +184,104 @@ func TestScoreboardMulticlass(t *testing.T) {
 	}
 	if q.F1 != q.MacroF1 {
 		t.Fatalf("multiclass headline F1 %v != macro %v", q.F1, q.MacroF1)
+	}
+}
+
+// TestScoreboardChunkMatchesReference feeds one stream through the
+// reference per-window Observe and through ObserveChunk in uneven
+// chunks, rotating both at the same windows, on binary and three-class
+// boards. Every count, every calibration-sum bit, the observation
+// counter, the exported gauges and the snapshot must match. The stream
+// carries unlabeled and out-of-range labels and predictions, and scores
+// NaN, ±Inf, -0, every bin edge with its neighbours, and strays outside
+// [0, 1].
+func TestScoreboardChunkMatchesReference(t *testing.T) {
+	var specials []float64
+	for b := 0; b <= scoreBins; b++ {
+		e := float64(b) / scoreBins
+		specials = append(specials, math.Nextafter(e, -1), e, math.Nextafter(e, 2))
+	}
+	specials = append(specials, math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1),
+		0.3, 0.7, 1.5, -0.5, math.MaxFloat64, -math.MaxFloat64)
+	for _, k := range []int{2, 3} {
+		for seed := int64(1); seed <= 20; seed++ {
+			src := rand.New(rand.NewSource(seed))
+			n := 600 + src.Intn(600)
+			actual, predicted := make([]int, n), make([]int, n)
+			scores := make([]float64, n)
+			for i := range actual {
+				actual[i], predicted[i] = src.Intn(k), src.Intn(k)
+				scores[i] = src.Float64()
+				switch src.Intn(10) {
+				case 0:
+					actual[i] = -1 // unlabeled
+				case 1:
+					actual[i] = []int{-3, k, k + 4}[src.Intn(3)]
+				case 2:
+					predicted[i] = []int{-1, k}[src.Intn(2)]
+				case 3, 4:
+					scores[i] = specials[src.Intn(len(specials))]
+				}
+			}
+			// Rotate often enough that the window both fills and evicts.
+			rotateAt := map[int]bool{}
+			for i := 40 + src.Intn(40); i < n; i += 30 + src.Intn(90) {
+				rotateAt[i] = true
+			}
+			chunks := []int{1, 7, 300, 3, 64, 2, 129, 512}
+
+			wantReg, gotReg := obs.NewRegistry(), obs.NewRegistry()
+			want := NewScoreboard(Config{NumClasses: k, Registry: wantReg})
+			got := NewScoreboard(Config{NumClasses: k, Registry: gotReg})
+			compare := func(at int) {
+				t.Helper()
+				for e := range want.epochs {
+					we, ge := want.epochs[e], got.epochs[e]
+					if fmt.Sprint(we.conf.Counts, we.scoreHist, we.calN, we.calPos, we.n) !=
+						fmt.Sprint(ge.conf.Counts, ge.scoreHist, ge.calN, ge.calPos, ge.n) {
+						t.Fatalf("k=%d seed %d window %d epoch %d: chunked counts differ from per-window", k, seed, at, e)
+					}
+					for b := range we.calScore {
+						if math.Float64bits(we.calScore[b]) != math.Float64bits(ge.calScore[b]) {
+							t.Fatalf("k=%d seed %d window %d epoch %d bin %d: calScore %v chunked, %v per-window",
+								k, seed, at, e, b, ge.calScore[b], we.calScore[b])
+						}
+					}
+				}
+				ws, gs := want.Snapshot(), got.Snapshot()
+				wj, werr := json.Marshal(ws)
+				gj, gerr := json.Marshal(gs)
+				if (werr == nil) != (gerr == nil) || string(wj) != string(gj) ||
+					fmt.Sprintf("%+v", ws) != fmt.Sprintf("%+v", gs) {
+					t.Fatalf("k=%d seed %d window %d: snapshots differ:\n%+v\n%+v", k, seed, at, ws, gs)
+				}
+				if a, b := fmt.Sprint(wantReg.Snapshot()), fmt.Sprint(gotReg.Snapshot()); a != b {
+					t.Fatalf("k=%d seed %d window %d: registries differ:\n%s\n%s", k, seed, at, a, b)
+				}
+			}
+			start, c := 0, 0
+			for i := range actual {
+				refObserve(want, actual[i], predicted[i], scores[i])
+				if rotateAt[i] || i-start+1 == chunks[c%len(chunks)] || i == n-1 {
+					got.ObserveChunk(actual[start:i+1], predicted[start:i+1], scores[start:i+1])
+					start, c = i+1, c+1
+					compare(i)
+				}
+				if rotateAt[i] {
+					want.Advance()
+					got.Advance()
+					compare(i)
+				}
+			}
+		}
+	}
+	// Empty and nil inputs record nothing.
+	s := NewScoreboard(Config{Registry: obs.NewRegistry()})
+	s.ObserveChunk(nil, nil, nil)
+	s.ObserveChunk([]int{-1, 5}, []int{0, 0}, []float64{0.5, 0.5})
+	var nils *Scoreboard
+	nils.ObserveChunk([]int{0}, []int{0}, []float64{0.5})
+	if q := s.Snapshot(); q.Observed != 0 || q.WindowObserved != 0 {
+		t.Fatalf("observed %d windows from empty and unlabeled chunks", q.Observed)
 	}
 }
