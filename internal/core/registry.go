@@ -207,14 +207,3 @@ func CompilableNames() []string {
 		return infer.Compilable(s.New(1))
 	})
 }
-
-// CompileProgram lowers a trained classifier into its flat
-// batch-inference program — the software twin of CompileDetector's
-// netlist lowering. Options select the numeric domain: the zero-option
-// call compiles the exact float64 program; pass
-// infer.WithPrecision(infer.Int8) plus infer.WithCalibration(rows) for
-// the fixed-point kernels. Callers that may hold non-compiling
-// classifiers should fall back to ml.Batch on infer.ErrNotCompilable.
-func CompileProgram(c ml.Classifier, opts ...infer.Option) (*infer.Program, error) {
-	return infer.Compile(c, opts...)
-}

@@ -124,16 +124,17 @@ func benchCompiled(b *testing.B, name string) {
 	reportWindowsPerCore(b, len(x)/benchRows*benchRows)
 }
 
-// benchQuant streams the same windows through the int8 fixed-point
-// program (training set as calibration). The models are the
+// benchQuant streams the same windows through the program of the given
+// precision (training set as calibration). The models are the
 // hardware-capped registry shapes from quant_test.go — the
 // configurations serve/ingest actually deploy, and the only ones with a
 // fixed-point realization (an uncapped OneR's threshold table overflows
-// any 8-bit grid).
-func benchQuant(b *testing.B, name string) {
+// any 8-bit grid) — so the Int8 and Float64 families compare the same
+// models.
+func benchQuant(b *testing.B, name string, prec Precision) {
 	quantSetup(b)
 	c, x := quantBench.models[name], quantBench.x
-	p, err := Compile(c, WithPrecision(Int8), WithCalibration(x))
+	p, err := Compile(c, WithPrecision(prec), WithCalibration(x))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -164,14 +165,23 @@ func BenchmarkCompiledBatchSVM(b *testing.B)         { benchCompiled(b, "SVM") }
 func BenchmarkInterpretedBatchMLP(b *testing.B)      { benchInterpreted(b, "MLP") }
 func BenchmarkCompiledBatchMLP(b *testing.B)         { benchCompiled(b, "MLP") }
 
-func BenchmarkQuantInt8BatchOneR(b *testing.B)     { benchQuant(b, "OneR") }
-func BenchmarkQuantInt8BatchJRip(b *testing.B)     { benchQuant(b, "JRip") }
-func BenchmarkQuantInt8BatchJ48(b *testing.B)      { benchQuant(b, "J48") }
-func BenchmarkQuantInt8BatchREPTree(b *testing.B)  { benchQuant(b, "REPTree") }
-func BenchmarkQuantInt8BatchNB(b *testing.B)       { benchQuant(b, "NaiveBayes") }
-func BenchmarkQuantInt8BatchLogistic(b *testing.B) { benchQuant(b, "Logistic") }
-func BenchmarkQuantInt8BatchSVM(b *testing.B)      { benchQuant(b, "SVM") }
-func BenchmarkQuantInt8BatchMLP(b *testing.B)      { benchQuant(b, "MLP") }
+func BenchmarkQuantInt8BatchOneR(b *testing.B)     { benchQuant(b, "OneR", Int8) }
+func BenchmarkQuantInt8BatchJRip(b *testing.B)     { benchQuant(b, "JRip", Int8) }
+func BenchmarkQuantInt8BatchJ48(b *testing.B)      { benchQuant(b, "J48", Int8) }
+func BenchmarkQuantInt8BatchREPTree(b *testing.B)  { benchQuant(b, "REPTree", Int8) }
+func BenchmarkQuantInt8BatchNB(b *testing.B)       { benchQuant(b, "NaiveBayes", Int8) }
+func BenchmarkQuantInt8BatchLogistic(b *testing.B) { benchQuant(b, "Logistic", Int8) }
+func BenchmarkQuantInt8BatchSVM(b *testing.B)      { benchQuant(b, "SVM", Int8) }
+func BenchmarkQuantInt8BatchMLP(b *testing.B)      { benchQuant(b, "MLP", Int8) }
+
+func BenchmarkQuantFloat64BatchOneR(b *testing.B)     { benchQuant(b, "OneR", Float64) }
+func BenchmarkQuantFloat64BatchJRip(b *testing.B)     { benchQuant(b, "JRip", Float64) }
+func BenchmarkQuantFloat64BatchJ48(b *testing.B)      { benchQuant(b, "J48", Float64) }
+func BenchmarkQuantFloat64BatchREPTree(b *testing.B)  { benchQuant(b, "REPTree", Float64) }
+func BenchmarkQuantFloat64BatchNB(b *testing.B)       { benchQuant(b, "NaiveBayes", Float64) }
+func BenchmarkQuantFloat64BatchLogistic(b *testing.B) { benchQuant(b, "Logistic", Float64) }
+func BenchmarkQuantFloat64BatchSVM(b *testing.B)      { benchQuant(b, "SVM", Float64) }
+func BenchmarkQuantFloat64BatchMLP(b *testing.B)      { benchQuant(b, "MLP", Float64) }
 
 // BenchmarkCompiledPredictOne measures the single-window entry point
 // online.Monitor uses per 10 ms sample.

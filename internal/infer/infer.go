@@ -67,7 +67,7 @@ type probaKernel interface {
 }
 
 // scratch is the per-batch working memory drawn from the program's pool.
-// Float kernels use z/h; quantized kernels use the qi/qh integer views,
+// Float kernels use z/h; quantized MAC kernels use the qi/qh integer views,
 // which alias one arena allocation (see Compile) so a scratch costs a
 // single backing array however many views a kernel needs.
 type scratch struct {
@@ -134,9 +134,11 @@ func buildKernel(c ml.Classifier) (k kernel, zLen, hLen int, err error) {
 // Compile lowers a trained classifier into a Program. With no options
 // (or WithPrecision(Float64)) the program is the exact float64 lowering,
 // bit-identical to the interpreted classifier. WithPrecision(Int8) or
-// WithPrecision(Int16) builds fixed-point quantized kernels instead —
-// label-only, mirroring the internal/hw datapath widths; the MAC-kernel
-// classifiers additionally require WithCalibration rows.
+// WithPrecision(Int16) builds the fixed-point program instead —
+// label-only, mirroring the internal/hw datapath widths: a comparison
+// model keeps its float64 kernel once its thresholds fit the width's
+// rank codes, and the MAC-kernel classifiers get integer kernels, for
+// which they additionally require WithCalibration rows.
 //
 // Compile returns ml.ErrNotTrained for an untrained model and
 // ErrNotCompilable for classifier types without a kernel (use ml.Batch
@@ -196,7 +198,7 @@ func Compile(c ml.Classifier, opts ...Option) (p *Program, err error) {
 					p.name, len(r), p.dim)
 			}
 		}
-		qk, qi, qh, quantizer, scale, qerr := buildQuantKernel(c, o.precision, o.calib, p.dim)
+		qk, qi, qh, quantizer, scale, qerr := buildQuantKernel(c, k, o.precision, o.calib, p.dim)
 		if qerr != nil {
 			return nil, qerr
 		}
@@ -212,7 +214,9 @@ func Compile(c ml.Classifier, opts ...Option) (p *Program, err error) {
 			&scratch{z: make([]float64, zLen), h: make([]float64, hLen)},
 			newArenaScratch(zLen, hLen, qiLen, qhLen), o.calib)
 		p.k, p.pk = qk, nil // quantized programs are label-only
-		zLen, hLen = 0, 0   // float scratch unused on the quantized path
+		// Float scratch is unused on the quantized path: the comparison
+		// kernels a rank-coded program runs need none.
+		zLen, hLen = 0, 0
 	}
 	p.newS = func() *scratch { return newArenaScratch(zLen, hLen, qiLen, qhLen) }
 	// A small fixed-capacity free list instead of sync.Pool: Pool's

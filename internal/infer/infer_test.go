@@ -114,6 +114,18 @@ func TestEquivalence(t *testing.T) {
 					t.Fatalf("HasProba = %v for %s", p.HasProba(), clfName)
 				}
 				if !p.HasProba() {
+					// Label-only programs label rows of NaN, ±Inf and zeros
+					// as the interpreted classifier does.
+					rows := append(ds.x[:len(ds.x):len(ds.x)], specialRows(ds.x[0])...)
+					labels := make([]int, len(rows))
+					if err := p.Predict(labels, rows); err != nil {
+						t.Fatalf("predict: %v", err)
+					}
+					for i, x := range rows {
+						if want := c.Predict(x); labels[i] != want {
+							t.Fatalf("row %d %v: compiled %d, interpreted %d", i, x, labels[i], want)
+						}
+					}
 					return
 				}
 				dst := make([][]float64, len(ds.x))

@@ -248,13 +248,15 @@ func (k *jripKernel) predict(dst []int, X [][]float64, _ *scratch) {
 			ru := &k.rules[i]
 			matched := true
 			for _, c := range ru.conds {
+				// A literal fails where rules.Condition.Matches is false:
+				// written as negated matches, so a NaN fails both forms.
 				v := x[c.attr]
 				if c.le {
-					if v > c.thr {
+					if !(v <= c.thr) {
 						matched = false
 						break
 					}
-				} else if v <= c.thr {
+				} else if !(v > c.thr) {
 					matched = false
 					break
 				}

@@ -5,28 +5,29 @@
 //
 // Two quantizer families cover the model zoo:
 //
-//   - Comparison kernels (OneR, J48, REPTree, JRip) use exact rank
-//     coding: each feature is coded by its rank among the model's own
-//     split thresholds, so every threshold compare is decided exactly as
-//     in float64 — agreement is 1.0 by construction as long as the
-//     distinct-threshold count per feature fits the code width. This is
-//     precisely how the hw comparator chains behave: the comparators ARE
-//     the grid.
+//   - Comparison programs (OneR, J48, REPTree, JRip) are rank-coded:
+//     each feature is coded by its rank among the model's own distinct
+//     split thresholds on it, and x <= t_k exactly when code(x) <= k, so
+//     every threshold compare decides exactly as in float64. The program
+//     is therefore the float64 comparison kernel itself, compiled once
+//     the distinct-threshold count per feature fits the code width. This
+//     is precisely how the hw comparator chains behave: the comparators
+//     ARE the grid.
 //
 //   - MAC kernels (Logistic, SVM, NaiveBayes, MLP) use a per-feature
 //     affine grid calibrated from sample rows (percentile-clipped
 //     symmetric signed codes), with the standardizer folded into the
 //     integer weights exactly as hw.CompileLinear folds it into the
-//     netlist. Per-channel weight scales plus normalized requantization
-//     multipliers (m, shift pairs, TFLite-style) keep classes whose
-//     weight magnitudes differ by orders of magnitude comparable in one
-//     shared integer score domain.
+//     netlist (affineQ.fold). Per-channel weight scales (scaleWeights)
+//     plus normalized requantization multipliers (m, shift pairs,
+//     TFLite-style) keep classes whose weight magnitudes differ by
+//     orders of magnitude comparable in one shared integer score domain.
 //
-// All quantized kernels accumulate into flat contiguous integer arrays
-// with simple counted loops — the shapes the compiler's auto-vectorizer
-// and the CPU's wide integer units like — and draw their batch scratch
-// from the program's arena-backed free list, so the steady-state path
-// allocates nothing.
+// The MAC kernels accumulate into flat contiguous integer arrays with
+// simple counted loops, generic over the accumulator width (accum) —
+// the shapes the compiler's auto-vectorizer and the CPU's wide integer
+// units like — and draw their batch scratch from the program's
+// arena-backed free list, so the steady-state path allocates nothing.
 package infer
 
 import (
@@ -346,274 +347,97 @@ func (q *affineQ) scaleTable() []FeatureScale {
 	return t
 }
 
-// --- rank quantizer (comparison kernels) ---
-
-// rankQ codes feature j of a row as its rank among the model's own
-// distinct split thresholds on j: code(x) = #[thresholds < x] computed
-// by binary search. Because x <= t_k exactly when code(x) <= k, every
-// threshold compare in the quantized walk decides identically to the
-// float64 walk — rank coding is exact, not approximate.
-type rankQ struct {
-	thr []float64 // all features' sorted thresholds, contiguous
-	off []int32   // per-feature segment offsets, len dim+1
+// fold folds the standardizer (mean, std) and the input grid into the
+// effective weights of one output channel, exactly as hw.CompileLinear
+// folds standardization into the netlist: with z = zero + q·step,
+// w·(x-mean)/std + w[dim] becomes eff·q + bias. w holds the channel's
+// dim weights then its bias; eff receives the dim effective weights.
+func (q *affineQ) fold(w, mean, std, eff []float64) (bias float64) {
+	bias = w[len(eff)]
+	for j := range eff {
+		wj := w[j] / std[j]
+		bias += wj * (q.zero[j] - mean[j])
+		eff[j] = wj * q.step[j]
+	}
+	return bias
 }
 
-// buildRankQ collects the distinct thresholds per feature and checks
-// they fit the width's code capacity (codes 0..n need n <= 2*half).
-func buildRankQ(dim int, half int64, perFeature map[int][]float64) (*rankQ, error) {
-	q := &rankQ{off: make([]int32, dim+1)}
+// scaleWeights rounds one channel's real weights onto the integer grid
+// whose largest magnitude is ±wmax, writing them to dst, and returns the
+// scale S with dst[j] = round(eff[j]·S). An all-zero channel scales by
+// wmax.
+func scaleWeights(eff []float64, wmax float64, dst []int32) float64 {
+	mx := 0.0
+	for _, e := range eff {
+		if a := math.Abs(e); a > mx {
+			mx = a
+		}
+	}
+	if mx == 0 {
+		mx = 1
+	}
+	S := wmax / mx
+	for j, e := range eff {
+		dst[j] = int32(math.Round(e * S))
+	}
+	return S
+}
+
+// accum is a MAC kernel's accumulator width: int32 on the Int8 datapath
+// (hw.Int8AccumBits), where a sum wraps as the 32-bit register would,
+// and int64 on the Int16 one (hw.Int16AccumBits) or wherever an Int8
+// sum could overflow 32 bits.
+type accum interface{ int32 | int64 }
+
+// --- rank capacity (comparison programs) ---
+
+// splitThresholds collects a comparison model's split thresholds per
+// feature; ok is false for every other model.
+func splitThresholds(c ml.Classifier) (per map[int][]float64, ok bool) {
+	per = map[int][]float64{}
+	switch m := c.(type) {
+	case *oner.OneR:
+		attr, thresholds, _ := m.Rule()
+		per[attr] = thresholds
+	case interface{ Export() []tree.ExportedNode }: // J48, REPTree
+		for _, e := range m.Export() {
+			if !e.Leaf {
+				per[e.Attr] = append(per[e.Attr], e.Thr)
+			}
+		}
+	case *rules.JRip:
+		for _, r := range m.Rules() {
+			for _, cond := range r.Conds {
+				per[cond.Attr] = append(per[cond.Attr], cond.Thr)
+			}
+		}
+	default:
+		return nil, false
+	}
+	return per, true
+}
+
+// rankCapacity checks that every feature's distinct thresholds fit the
+// width's rank codes (codes 0..n need n <= 2*half). The thresholds are
+// counted as their rank codes number them: sorted, equal neighbours
+// once, each NaN apart. The error names the first feature over capacity
+// in index order.
+func rankCapacity(dim int, half int64, perFeature map[int][]float64) error {
 	for j := 0; j < dim; j++ {
 		ts := perFeature[j]
 		sort.Float64s(ts)
-		uniq := ts[:0]
+		n, last := 0, 0.0
 		for i, t := range ts {
-			if i == 0 || t != uniq[len(uniq)-1] {
-				uniq = append(uniq, t)
+			if i == 0 || t != last {
+				n, last = n+1, t
 			}
 		}
-		if int64(len(uniq)) > 2*half {
-			return nil, fmt.Errorf("%w: %d distinct thresholds on feature %d, capacity %d",
-				ErrQuantCapacity, len(uniq), j, 2*half)
-		}
-		q.thr = append(q.thr, uniq...)
-		q.off[j+1] = int32(len(q.thr))
-	}
-	return q, nil
-}
-
-func (q *rankQ) seg(j int) []float64 { return q.thr[q.off[j]:q.off[j+1]] }
-
-// code returns the integer code of a model threshold on feature j; the
-// threshold is one of the model's own, so the search finds it exactly.
-func (q *rankQ) code(j int, thr float64) int32 {
-	return int32(sort.SearchFloat64s(q.seg(j), thr))
-}
-
-func (q *rankQ) quantizeRow(x []float64, dst []int32) {
-	for j, v := range x {
-		dst[j] = int32(sort.SearchFloat64s(q.seg(j), v))
-	}
-}
-
-// --- quantized tree walk (J48, REPTree) ---
-
-// qflatNode mirrors flatNode with the threshold as an integer code; the
-// word packing (children/attr/label) is identical.
-type qflatNode struct {
-	thr  int32
-	word uint64
-}
-
-type qtreeKernel struct {
-	nodes []qflatNode
-	depth int
-	dim   int
-	qz    *rankQ
-}
-
-func compileQuantTree(exported []tree.ExportedNode, dim int, half int64) (*qtreeKernel, error) {
-	fl, err := compileTree(exported) // reuse packing + depth + limits
-	if err != nil {
-		return nil, err
-	}
-	perFeature := map[int][]float64{}
-	for _, e := range exported {
-		if !e.Leaf {
-			perFeature[e.Attr] = append(perFeature[e.Attr], e.Thr)
+		if int64(n) > 2*half {
+			return fmt.Errorf("%w: %d distinct thresholds on feature %d, capacity %d",
+				ErrQuantCapacity, n, j, 2*half)
 		}
 	}
-	qz, err := buildRankQ(dim, half, perFeature)
-	if err != nil {
-		return nil, err
-	}
-	k := &qtreeKernel{nodes: make([]qflatNode, len(fl.nodes)), depth: fl.depth, dim: dim, qz: qz}
-	for i, e := range exported {
-		k.nodes[i].word = fl.nodes[i].word
-		if !e.Leaf {
-			k.nodes[i].thr = qz.code(e.Attr, e.Thr)
-		}
-	}
-	return k, nil
-}
-
-func (k *qtreeKernel) predictOne(q []int32) int {
-	nodes := k.nodes
-	idx := int32(0)
-	for {
-		n := &nodes[idx]
-		w := n.word
-		l := int32(w & nodeChildMask)
-		if l == idx {
-			return int(w >> 56)
-		}
-		if q[w>>(2*nodeChildBits)&0xFF] <= n.thr {
-			idx = l
-		} else {
-			idx = int32(w >> nodeChildBits & nodeChildMask)
-		}
-	}
-}
-
-func (k *qtreeKernel) predict(dst []int, X [][]float64, s *scratch) {
-	nodes := k.nodes
-	maxD := k.depth
-	dim := k.dim
-	r := 0
-	// Same interleaved CMOV walk as the float kernel, over integer codes:
-	// treeGroup rows quantize into the scratch arena, then advance one
-	// level per pass with the split compare lowered to an int32 cmp.
-	for ; r+treeGroup <= len(X); r += treeGroup {
-		for g := 0; g < treeGroup; g++ {
-			k.qz.quantizeRow(X[r+g], s.qi[g*dim:(g+1)*dim])
-		}
-		var idx [treeGroup]int32
-		for d := 0; d < maxD; d++ {
-			moved := int32(0)
-			for g := 0; g < treeGroup; g++ {
-				n := &nodes[idx[g]]
-				w := n.word
-				l := int32(w & nodeChildMask)
-				rgt := int32(w >> nodeChildBits & nodeChildMask)
-				next := rgt
-				if s.qi[g*dim+int(w>>(2*nodeChildBits)&0xFF)] <= n.thr {
-					next = l
-				}
-				moved |= next ^ idx[g]
-				idx[g] = next
-			}
-			if moved == 0 {
-				break
-			}
-		}
-		for g := 0; g < treeGroup; g++ {
-			dst[r+g] = int(nodes[idx[g]].word >> 56)
-		}
-	}
-	for ; r < len(X); r++ {
-		k.qz.quantizeRow(X[r], s.qi[:dim])
-		dst[r] = k.predictOne(s.qi[:dim])
-	}
-}
-
-// --- quantized OneR ---
-
-type qonerKernel struct {
-	attr     int
-	nthr     int // threshold count; codes 0..nthr index the interval table
-	labels   []int
-	fallback int
-	qz       *rankQ
-}
-
-func compileQuantOneR(o *oner.OneR, dim int, half int64) (*qonerKernel, error) {
-	attr, thresholds, labels := o.Rule()
-	per := map[int][]float64{}
-	if attr < dim {
-		per[attr] = append([]float64{}, thresholds...)
-	}
-	qz, err := buildRankQ(dim, half, per)
-	if err != nil {
-		return nil, err
-	}
-	return &qonerKernel{attr: attr, nthr: len(thresholds), labels: labels,
-		fallback: o.Fallback(), qz: qz}, nil
-}
-
-func (k *qonerKernel) predict(dst []int, X [][]float64, _ *scratch) {
-	for r, x := range X {
-		if k.attr >= len(x) {
-			dst[r] = k.fallback
-			continue
-		}
-		// Rank code IS the interval index: the float path takes the first
-		// threshold >= x, and code(x) = #[thresholds < x] is that index.
-		idx := int(int32(sort.SearchFloat64s(k.qz.seg(k.attr), x[k.attr])))
-		if idx >= len(k.labels) {
-			idx = len(k.labels) - 1
-		}
-		dst[r] = k.labels[idx]
-	}
-}
-
-// --- quantized JRip ---
-
-// qflatCond mirrors flatCond with an integer code threshold.
-type qflatCond struct {
-	thr  int32
-	attr int32
-	le   bool
-}
-
-type qruleView struct {
-	conds []qflatCond
-	label int32
-}
-
-type qjripKernel struct {
-	conds        []qflatCond
-	rules        []qruleView
-	defaultLabel int
-	dim          int
-	qz           *rankQ
-}
-
-func compileQuantJRip(j *rules.JRip, dim int, half int64) (*qjripKernel, error) {
-	learned := j.Rules()
-	per := map[int][]float64{}
-	for _, r := range learned {
-		for _, c := range r.Conds {
-			per[c.Attr] = append(per[c.Attr], c.Thr)
-		}
-	}
-	qz, err := buildRankQ(dim, half, per)
-	if err != nil {
-		return nil, err
-	}
-	k := &qjripKernel{defaultLabel: j.DefaultLabel(), dim: dim, qz: qz}
-	for _, r := range learned {
-		for _, c := range r.Conds {
-			k.conds = append(k.conds, qflatCond{
-				thr: qz.code(c.Attr, c.Thr), attr: int32(c.Attr), le: c.Op == 'l'})
-		}
-	}
-	off := 0
-	for _, r := range learned {
-		k.rules = append(k.rules, qruleView{
-			conds: k.conds[off : off+len(r.Conds) : off+len(r.Conds)],
-			label: int32(r.Label),
-		})
-		off += len(r.Conds)
-	}
-	return k, nil
-}
-
-func (k *qjripKernel) predict(dst []int, X [][]float64, s *scratch) {
-	qi := s.qi[:k.dim]
-	for r, x := range X {
-		k.qz.quantizeRow(x, qi)
-		label := k.defaultLabel
-		for i := range k.rules {
-			ru := &k.rules[i]
-			matched := true
-			for _, c := range ru.conds {
-				v := qi[c.attr]
-				if c.le {
-					if v > c.thr {
-						matched = false
-						break
-					}
-				} else if v <= c.thr {
-					matched = false
-					break
-				}
-			}
-			if matched {
-				label = int(ru.label)
-				break
-			}
-		}
-		dst[r] = label
-	}
+	return nil
 }
 
 // --- quantized dense linear (Logistic, SVM) ---
@@ -634,52 +458,27 @@ type qdenseKernel struct {
 	wide    bool // int64 accumulators (Int16); else int32 (Int8)
 }
 
-func compileQuantDense(mdl linearModel, prec Precision, calib [][]float64) (*qdenseKernel, error) {
+func compileQuantDense(mdl linearModel, prec Precision, qz *affineQ) *qdenseKernel {
 	w := mdl.Weights()
 	mean, std := mdl.Scaler()
 	dim, classes := len(mean), len(w)
 	half := prec.half()
 	wmax := float64(hw.QuantHalf(prec.weightBits()))
-	qz, err := calibrateAffine(calib, dim, half, false)
-	if err != nil {
-		return nil, err
-	}
-	// Fold the standardizer and the input grid into effective weights,
-	// exactly as hw.CompileLinear folds standardization into the netlist:
-	// with z = zero + q·step, w'·(x-mean)/std + b becomes eff·q + biasR.
-	eff := make([][]float64, classes)
-	biasR := make([]float64, classes)
-	for c := 0; c < classes; c++ {
-		eff[c] = make([]float64, dim)
-		b := w[c][dim]
-		for j := 0; j < dim; j++ {
-			wj := w[c][j] / std[j]
-			b += wj * (qz.zero[j] - mean[j])
-			eff[c][j] = wj * qz.step[j]
-		}
-		biasR[c] = b
-	}
 	k := &qdenseKernel{
 		qz: qz, w: make([]int32, classes*dim),
 		m: make([]int64, classes), b: make([]int64, classes), sh: make([]uint, classes),
 		classes: classes, dim: dim, wide: prec == Int16,
 	}
-	scoreBound := 0.0
+	eff := make([]float64, dim)
+	biasR := make([]float64, classes)
 	S := make([]float64, classes)
+	scoreBound := 0.0
 	for c := 0; c < classes; c++ {
-		mx, sb := 0.0, math.Abs(biasR[c])
-		for _, e := range eff[c] {
-			if a := math.Abs(e); a > mx {
-				mx = a
-			}
+		biasR[c] = qz.fold(w[c], mean, std, eff)
+		S[c] = scaleWeights(eff, wmax, k.w[c*dim:(c+1)*dim])
+		sb := math.Abs(biasR[c])
+		for _, e := range eff {
 			sb += math.Abs(e) * float64(half)
-		}
-		if mx == 0 {
-			mx = 1
-		}
-		S[c] = wmax / mx
-		for j := 0; j < dim; j++ {
-			k.w[c*dim+j] = int32(math.Round(eff[c][j] * S[c]))
 		}
 		if sb > scoreBound {
 			scoreBound = sb
@@ -699,7 +498,7 @@ func compileQuantDense(mdl linearModel, prec Precision, calib [][]float64) (*qde
 	if !k.wide && float64(dim)*wmax*float64(half) > float64(math.MaxInt32) {
 		k.wide = true
 	}
-	return k, nil
+	return k
 }
 
 func (k *qdenseKernel) predict(dst []int, X [][]float64, s *scratch) {
@@ -707,38 +506,27 @@ func (k *qdenseKernel) predict(dst []int, X [][]float64, s *scratch) {
 	for r, x := range X {
 		k.qz.quantizeRow(x, qi)
 		if k.wide {
-			dst[r] = k.argmax64(qi)
+			dst[r] = qdenseArgmax[int64](k, qi)
 		} else {
-			dst[r] = k.argmax32(qi)
+			dst[r] = qdenseArgmax[int32](k, qi)
 		}
 	}
 }
 
-func (k *qdenseKernel) argmax32(q []int32) int {
+// qdenseArgmax returns the first best class of one quantized row, each
+// class's dot product summed in an A accumulator. It is a function of
+// its own, called per row, because the class loop folded into predict's
+// row loop measured about 15% slower (BenchmarkQuantInt8BatchLogistic
+// and SVM, 2-vCPU Xeon).
+func qdenseArgmax[A accum](k *qdenseKernel, q []int32) int {
 	best, bestS := 0, int64(math.MinInt64)
 	for c := 0; c < k.classes; c++ {
 		wc := k.w[c*k.dim : (c+1)*k.dim : (c+1)*k.dim]
-		var acc int32
+		var acc A
 		for j, w := range wc {
-			acc += w * q[j]
+			acc += A(w) * A(q[j])
 		}
 		s := (int64(acc)>>k.pre)*k.m[c]>>k.sh[c] + k.b[c]
-		if s > bestS {
-			best, bestS = c, s
-		}
-	}
-	return best
-}
-
-func (k *qdenseKernel) argmax64(q []int32) int {
-	best, bestS := 0, int64(math.MinInt64)
-	for c := 0; c < k.classes; c++ {
-		wc := k.w[c*k.dim : (c+1)*k.dim : (c+1)*k.dim]
-		var acc int64
-		for j, w := range wc {
-			acc += int64(w) * int64(q[j])
-		}
-		s := (acc>>k.pre)*k.m[c]>>k.sh[c] + k.b[c]
 		if s > bestS {
 			best, bestS = c, s
 		}
@@ -766,21 +554,24 @@ type qbayesKernel struct {
 	wide       bool
 }
 
-func compileQuantBayes(nb *bayes.NaiveBayes, prec Precision, calib [][]float64) (*qbayesKernel, error) {
+func compileQuantBayes(nb *bayes.NaiveBayes, prec Precision, qz *affineQ) *qbayesKernel {
 	priors, means, vars := nb.Params()
 	classes, dim := len(means), len(means[0])
 	half := prec.half()
 	wmax := float64(hw.QuantHalf(prec.weightBits()))
-	qz, err := calibrateAffine(calib, dim, half, nb.LogTransform)
-	if err != nil {
-		return nil, err
+	k := &qbayesKernel{
+		qz: qz, u: make([]int32, classes*dim), v: make([]int32, classes*dim),
+		mu: make([]int64, classes), mv: make([]int64, classes), b: make([]int64, classes),
+		shu: make([]uint, classes), shv: make([]uint, classes),
+		classes: classes, dim: dim, wide: prec == Int16,
 	}
-	U := make([][]float64, classes)
-	V := make([][]float64, classes)
+	U := make([]float64, dim)
+	V := make([]float64, dim)
 	A := make([]float64, classes)
+	SU := make([]float64, classes)
+	SV := make([]float64, classes)
+	scoreBound := 0.0
 	for c := 0; c < classes; c++ {
-		U[c] = make([]float64, dim)
-		V[c] = make([]float64, dim)
 		A[c] = priors[c]
 		for j := 0; j < dim; j++ {
 			va := vars[c][j]
@@ -789,44 +580,18 @@ func compileQuantBayes(nb *bayes.NaiveBayes, prec Precision, calib [][]float64) 
 			alpha := -0.5*math.Log(2*math.Pi*va) - means[c][j]*means[c][j]/(2*va)
 			z0 := qz.zero[j]
 			A[c] += alpha + beta*z0 + gamma*z0*z0
-			U[c][j] = (beta + 2*gamma*z0) * qz.step[j]
-			V[c][j] = gamma * qz.step[j] * qz.step[j]
+			U[j] = (beta + 2*gamma*z0) * qz.step[j]
+			V[j] = gamma * qz.step[j] * qz.step[j]
 		}
-	}
-	k := &qbayesKernel{
-		qz: qz, u: make([]int32, classes*dim), v: make([]int32, classes*dim),
-		mu: make([]int64, classes), mv: make([]int64, classes), b: make([]int64, classes),
-		shu: make([]uint, classes), shv: make([]uint, classes),
-		classes: classes, dim: dim, wide: prec == Int16,
-	}
-	SU := make([]float64, classes)
-	SV := make([]float64, classes)
-	scoreBound := 0.0
-	for c := 0; c < classes; c++ {
-		mu, mv, sb := 0.0, 0.0, math.Abs(A[c])
+		sb := math.Abs(A[c])
 		for j := 0; j < dim; j++ {
-			if a := math.Abs(U[c][j]); a > mu {
-				mu = a
-			}
-			if a := math.Abs(V[c][j]); a > mv {
-				mv = a
-			}
-			sb += math.Abs(U[c][j])*float64(half) + math.Abs(V[c][j])*float64(half)*float64(half)
-		}
-		if mu == 0 {
-			mu = 1
-		}
-		if mv == 0 {
-			mv = 1
-		}
-		SU[c], SV[c] = wmax/mu, wmax/mv
-		for j := 0; j < dim; j++ {
-			k.u[c*dim+j] = int32(math.Round(U[c][j] * SU[c]))
-			k.v[c*dim+j] = int32(math.Round(V[c][j] * SV[c]))
+			sb += math.Abs(U[j])*float64(half) + math.Abs(V[j])*float64(half)*float64(half)
 		}
 		if sb > scoreBound {
 			scoreBound = sb
 		}
+		SU[c] = scaleWeights(U, wmax, k.u[c*dim:(c+1)*dim])
+		SV[c] = scaleWeights(V, wmax, k.v[c*dim:(c+1)*dim])
 	}
 	if scoreBound <= 0 {
 		scoreBound = 1
@@ -842,7 +607,7 @@ func compileQuantBayes(nb *bayes.NaiveBayes, prec Precision, calib [][]float64) 
 	if !k.wide && float64(dim)*wmax*float64(half)*float64(half) > float64(math.MaxInt32) {
 		k.wide = true
 	}
-	return k, nil
+	return k
 }
 
 func (k *qbayesKernel) predict(dst []int, X [][]float64, s *scratch) {
@@ -850,46 +615,28 @@ func (k *qbayesKernel) predict(dst []int, X [][]float64, s *scratch) {
 	for r, x := range X {
 		k.qz.quantizeRow(x, qi)
 		if k.wide {
-			dst[r] = k.argmax64(qi)
+			dst[r] = qbayesArgmax[int64](k, qi)
 		} else {
-			dst[r] = k.argmax32(qi)
+			dst[r] = qbayesArgmax[int32](k, qi)
 		}
 	}
 }
 
-func (k *qbayesKernel) argmax32(q []int32) int {
+// qbayesArgmax returns the first best class log joint of one quantized
+// row, both of each class's sums in A accumulators.
+func qbayesArgmax[A accum](k *qbayesKernel, q []int32) int {
 	best, bestS := 0, int64(math.MinInt64)
 	for c := 0; c < k.classes; c++ {
 		uc := k.u[c*k.dim : (c+1)*k.dim : (c+1)*k.dim]
 		vc := k.v[c*k.dim : (c+1)*k.dim : (c+1)*k.dim]
-		var accU, accV int32
+		var accU, accV A
 		for j, u := range uc {
-			qj := q[j]
-			accU += u * qj
-			accV += vc[j] * (qj * qj)
+			qj := A(q[j])
+			accU += A(u) * qj
+			accV += A(vc[j]) * (qj * qj)
 		}
 		s := (int64(accU)>>k.preU)*k.mu[c]>>k.shu[c] +
 			(int64(accV)>>k.preV)*k.mv[c]>>k.shv[c] + k.b[c]
-		if s > bestS {
-			best, bestS = c, s
-		}
-	}
-	return best
-}
-
-func (k *qbayesKernel) argmax64(q []int32) int {
-	best, bestS := 0, int64(math.MinInt64)
-	for c := 0; c < k.classes; c++ {
-		uc := k.u[c*k.dim : (c+1)*k.dim : (c+1)*k.dim]
-		vc := k.v[c*k.dim : (c+1)*k.dim : (c+1)*k.dim]
-		var accU, accV int64
-		for j, u := range uc {
-			qj := int64(q[j])
-			accU += int64(u) * qj
-			accV += int64(vc[j]) * (qj * qj)
-		}
-		s := (accU>>k.preU)*k.mu[c]>>k.shu[c] +
-			(accV>>k.preV)*k.mv[c]>>k.shv[c] + k.b[c]
 		if s > bestS {
 			best, bestS = c, s
 		}
@@ -930,7 +677,7 @@ type qmlpKernel struct {
 	wide    bool
 }
 
-func compileQuantMLP(m *mlp.MLP, prec Precision, calib [][]float64) (*qmlpKernel, error) {
+func compileQuantMLP(m *mlp.MLP, prec Precision, qz *affineQ) *qmlpKernel {
 	w1, w2 := m.Weights()
 	mean, sd := m.Scaler()
 	dim, hidden, classes := m.Topology()
@@ -939,10 +686,6 @@ func compileQuantMLP(m *mlp.MLP, prec Precision, calib [][]float64) (*qmlpKernel
 	hQ := float64(half) // hidden activation codes span [0, half]
 	if prec == Int8 {
 		hQ = 255 // hw.Int8ActBits unsigned: sigmoid outputs are non-negative
-	}
-	qz, err := calibrateAffine(calib, dim, half, false)
-	if err != nil {
-		return nil, err
 	}
 	k := &qmlpKernel{
 		qz: qz, w1: make([]int32, hidden*dim), w2: make([]int32, classes*hidden),
@@ -954,25 +697,10 @@ func compileQuantMLP(m *mlp.MLP, prec Precision, calib [][]float64) (*qmlpKernel
 	// onto the LUT's pre-activation grid.
 	P := float64(lutResolution)
 	k.pre1 = preShift(float64(dim) * wmax * float64(half))
+	eff := make([]float64, dim)
 	for h := 0; h < hidden; h++ {
-		b := w1[h][dim]
-		mx := 0.0
-		eff := make([]float64, dim)
-		for j := 0; j < dim; j++ {
-			wj := w1[h][j] / sd[j]
-			b += wj * (qz.zero[j] - mean[j])
-			eff[j] = wj * qz.step[j]
-			if a := math.Abs(eff[j]); a > mx {
-				mx = a
-			}
-		}
-		if mx == 0 {
-			mx = 1
-		}
-		S1 := wmax / mx
-		for j := 0; j < dim; j++ {
-			k.w1[h*dim+j] = int32(math.Round(eff[j] * S1))
-		}
+		b := qz.fold(w1[h], mean, sd, eff)
+		S1 := scaleWeights(eff, wmax, k.w1[h*dim:(h+1)*dim])
 		k.m1[h], k.sh1[h] = requantPair(float64(int64(1)<<k.pre1) * P / S1)
 		k.b1[h] = int64(math.Round(b * P * float64(int64(1)<<k.sh1[h])))
 	}
@@ -983,28 +711,18 @@ func compileQuantMLP(m *mlp.MLP, prec Precision, calib [][]float64) (*qmlpKernel
 		k.lut[i+k.lutHalf] = int32(math.Round(hQ / (1 + math.Exp(-p))))
 	}
 	// Layer 2: hidden codes carry scale hQ per 1.0 of activation.
-	e2 := make([][]float64, classes)
+	e2 := make([]float64, hidden)
 	b2 := make([]float64, classes)
-	scoreBound := 0.0
 	S2 := make([]float64, classes)
+	scoreBound := 0.0
 	for c := 0; c < classes; c++ {
-		e2[c] = make([]float64, hidden)
 		b2[c] = w2[c][hidden]
-		mx, sb := 0.0, math.Abs(b2[c])
+		sb := math.Abs(b2[c])
 		for h := 0; h < hidden; h++ {
-			e2[c][h] = w2[c][h] / hQ
-			if a := math.Abs(e2[c][h]); a > mx {
-				mx = a
-			}
-			sb += math.Abs(e2[c][h]) * hQ
+			e2[h] = w2[c][h] / hQ
+			sb += math.Abs(e2[h]) * hQ
 		}
-		if mx == 0 {
-			mx = 1
-		}
-		S2[c] = wmax / mx
-		for h := 0; h < hidden; h++ {
-			k.w2[c*hidden+h] = int32(math.Round(e2[c][h] * S2[c]))
-		}
+		S2[c] = scaleWeights(e2, wmax, k.w2[c*hidden:(c+1)*hidden])
 		if sb > scoreBound {
 			scoreBound = sb
 		}
@@ -1022,7 +740,20 @@ func compileQuantMLP(m *mlp.MLP, prec Precision, calib [][]float64) (*qmlpKernel
 		float64(hidden)*wmax*hQ > float64(math.MaxInt32)) {
 		k.wide = true
 	}
-	return k, nil
+	return k
+}
+
+// qmlpHidden computes one quantized row's hidden activation codes into
+// qh, each unit's layer-1 sum in an A accumulator.
+func qmlpHidden[A accum](k *qmlpKernel, qi, qh []int32) {
+	for h := range qh {
+		wh := k.w1[h*k.dim : (h+1)*k.dim : (h+1)*k.dim]
+		var acc A
+		for j, w := range wh {
+			acc += A(w) * A(qi[j])
+		}
+		qh[h] = k.sigmoidCode(int64(acc), h)
+	}
 }
 
 // sigmoidCode looks up the hidden activation code for one layer-1
@@ -1048,23 +779,9 @@ func (k *qmlpKernel) predict(dst []int, X [][]float64, s *scratch) {
 	for r, x := range X {
 		k.qz.quantizeRow(x, qi)
 		if k.wide {
-			for h := 0; h < k.hidden; h++ {
-				wh := k.w1[h*k.dim : (h+1)*k.dim : (h+1)*k.dim]
-				var acc int64
-				for j, w := range wh {
-					acc += int64(w) * int64(qi[j])
-				}
-				qh[h] = k.sigmoidCode(acc, h)
-			}
+			qmlpHidden[int64](k, qi, qh)
 		} else {
-			for h := 0; h < k.hidden; h++ {
-				wh := k.w1[h*k.dim : (h+1)*k.dim : (h+1)*k.dim]
-				var acc int32
-				for j, w := range wh {
-					acc += w * qi[j]
-				}
-				qh[h] = k.sigmoidCode(int64(acc), h)
-			}
+			qmlpHidden[int32](k, qi, qh)
 		}
 		best, bestS := 0, int64(math.MinInt64)
 		for c := 0; c < k.classes; c++ {
@@ -1084,58 +801,47 @@ func (k *qmlpKernel) predict(dst []int, X [][]float64, s *scratch) {
 
 // --- quantized compile entry ---
 
-// buildQuantKernel lowers a trained classifier at Int8/Int16. It returns
-// the kernel, the scratch arena sizes, and the spec fragments the
-// Program surfaces (quantizer kind + scale table).
-func buildQuantKernel(c ml.Classifier, prec Precision, calib [][]float64, dim int) (
+// buildQuantKernel lowers a trained classifier at Int8/Int16. A
+// comparison model keeps its float64 kernel fk once its thresholds fit
+// the width's rank codes; a MAC model gets its integer kernel on a grid
+// calibrated from calib. It returns the kernel, the scratch arena sizes,
+// and the spec fragments the Program surfaces (quantizer kind + scale
+// table).
+func buildQuantKernel(c ml.Classifier, fk kernel, prec Precision, calib [][]float64, dim int) (
 	k kernel, qiLen, qhLen int, quantizer string, scale []FeatureScale, err error) {
-	half := prec.half()
-	switch m := c.(type) {
-	case *oner.OneR:
-		qk, e := compileQuantOneR(m, dim, half)
-		return qk, 0, 0, "rank", nil, e
-	case *tree.J48:
-		qk, e := compileQuantTree(m.Export(), dim, half)
-		return qk, treeGroup * dim, 0, "rank", nil, e
-	case *tree.REPTree:
-		qk, e := compileQuantTree(m.Export(), dim, half)
-		return qk, treeGroup * dim, 0, "rank", nil, e
-	case *rules.JRip:
-		qk, e := compileQuantJRip(m, dim, half)
-		return qk, dim, 0, "rank", nil, e
-	case *linear.Logistic:
-		qk, e := compileQuantDense(m, prec, calib)
-		if e != nil {
-			return nil, 0, 0, "", nil, e
-		}
-		return qk, dim, 0, "affine", qk.qz.scaleTable(), nil
-	case *linear.SVM:
-		qk, e := compileQuantDense(m, prec, calib)
-		if e != nil {
-			return nil, 0, 0, "", nil, e
-		}
-		return qk, dim, 0, "affine", qk.qz.scaleTable(), nil
-	case *bayes.NaiveBayes:
-		qk, e := compileQuantBayes(m, prec, calib)
-		if e != nil {
-			return nil, 0, 0, "", nil, e
-		}
-		return qk, dim, 0, "affine", qk.qz.scaleTable(), nil
-	case *mlp.MLP:
-		qk, e := compileQuantMLP(m, prec, calib)
-		if e != nil {
-			return nil, 0, 0, "", nil, e
-		}
-		return qk, dim, qk.hidden, "affine", qk.qz.scaleTable(), nil
+	if per, ok := splitThresholds(c); ok {
+		return fk, 0, 0, "rank", nil, rankCapacity(dim, prec.half(), per)
 	}
-	return nil, 0, 0, "", nil, fmt.Errorf("%w: %T", ErrNotCompilable, c)
+	logT := false
+	if nb, ok := c.(*bayes.NaiveBayes); ok {
+		logT = nb.LogTransform
+	}
+	qz, err := calibrateAffine(calib, dim, prec.half(), logT)
+	if err != nil {
+		return nil, 0, 0, "", nil, err
+	}
+	switch m := c.(type) {
+	case *linear.Logistic:
+		k = compileQuantDense(m, prec, qz)
+	case *linear.SVM:
+		k = compileQuantDense(m, prec, qz)
+	case *bayes.NaiveBayes:
+		k = compileQuantBayes(m, prec, qz)
+	case *mlp.MLP:
+		k = compileQuantMLP(m, prec, qz)
+		_, qhLen, _ = m.Topology()
+	default:
+		return nil, 0, 0, "", nil, fmt.Errorf("%w: %T", ErrNotCompilable, c)
+	}
+	return k, dim, qhLen, "affine", qz.scaleTable(), nil
 }
 
 // measureAgreement predicts the calibration rows through both kernels
-// and returns the label agreement fraction. Compile-time only; the
-// allocations here never touch the prediction hot path.
+// and returns the label agreement fraction. A rank-coded program runs
+// its float64 kernel, so it agrees exactly without a pass. Compile-time
+// only; the allocations here never touch the prediction hot path.
 func measureAgreement(fk, qk kernel, fs, qs *scratch, rows [][]float64) float64 {
-	if len(rows) == 0 {
+	if len(rows) == 0 || qk == fk {
 		return 1
 	}
 	fDst := make([]int, len(rows))

@@ -1,6 +1,8 @@
 package infer
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"math"
 	"sync"
@@ -14,6 +16,7 @@ import (
 	"repro/internal/ml/oner"
 	"repro/internal/ml/rules"
 	"repro/internal/ml/tree"
+	"repro/internal/rng"
 )
 
 // quantFactories builds the hardware-capped model set — the exact
@@ -314,5 +317,198 @@ func TestQuantZeroAlloc(t *testing.T) {
 				t.Fatalf("PredictOne allocates %.1f per call", avg)
 			}
 		})
+	}
+}
+
+// quantNames lists the eight classifiers in a fixed order, so the random
+// models of the differential tests are the same on every run.
+var quantNames = []string{"OneR", "JRip", "J48", "REPTree", "NaiveBayes", "Logistic", "SVM", "MLP"}
+
+// randomModel trains one model of the named classifier on x, alternating
+// the registry's capped shape with the uncapped default and drawing
+// short trainings for the SGD learners.
+func randomModel(t *testing.T, src *rng.Source, name string, trial int, x [][]float64, y []int, k int) ml.Classifier {
+	t.Helper()
+	mk := quantFactories()[name]
+	if trial%2 == 1 {
+		mk = factories()[name]
+	}
+	c := mk()
+	switch m := c.(type) {
+	case *oner.OneR:
+		if trial%4 == 3 {
+			m.MinBucket = 1
+		}
+	case *linear.Logistic:
+		m.Epochs = 1 + src.Intn(20)
+	case *linear.SVM:
+		m.Epochs = 1 + src.Intn(20)
+	case *mlp.MLP:
+		m.Epochs = 1 + src.Intn(8)
+	}
+	if err := c.Train(x, y, k); err != nil {
+		t.Fatalf("%s trial %d: train: %v", name, trial, err)
+	}
+	return c
+}
+
+// TestQuantMatchesReference holds every quantized program to the
+// reference kernels of quant_ref_test.go. For 120 random NaN-free models
+// of each classifier at Int8 and Int16, the program and the reference
+// fail to compile with the same error, or report byte-identical specs
+// (scale table and measured agreement included), hold the same integer
+// MAC parameters, and give the same label on every probe row: the
+// training rows, blends of two of them, and rows stretched past the
+// calibration range.
+func TestQuantMatchesReference(t *testing.T) {
+	src := rng.New(22)
+	for _, name := range quantNames {
+		compiled := map[Precision]int{}
+		for trial := 0; trial < 120; trial++ {
+			dim, k := 1+src.Intn(10), 2+src.Intn(4)
+			n := 20 + src.Intn(200)
+			if name == "OneR" && trial%8 == 7 {
+				n = 700 // with MinBucket 1, often past the int8 rank codes
+			}
+			x, y := mltest.Random(src, n, dim, k)
+			probe := append([][]float64{}, x...)
+			for len(probe) < len(x)+400 {
+				a, b, u := x[src.Intn(n)], x[src.Intn(n)], src.Range(-0.5, 1.5)
+				stretch := 1.0
+				if src.Bool(0.25) {
+					stretch = src.Range(-4, 4)
+				}
+				row := make([]float64, dim)
+				for j := range row {
+					row[j] = (a[j] + u*(b[j]-a[j])) * stretch
+				}
+				probe = append(probe, row)
+			}
+			c := randomModel(t, src, name, trial, x, y, k)
+			for _, prec := range []Precision{Int8, Int16} {
+				p, err := Compile(c, WithPrecision(prec), WithCalibration(x))
+				rk, rs, rspec, rerr := refCompileQuant(c, prec, x)
+				if (err == nil) != (rerr == nil) || err != nil && err.Error() != rerr.Error() {
+					t.Fatalf("%s trial %d %v: compile error %v, reference %v", name, trial, prec, err, rerr)
+				}
+				if err != nil {
+					continue
+				}
+				compiled[prec]++
+				got, _ := json.Marshal(p.Spec())
+				want, _ := json.Marshal(rspec)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("%s trial %d %v: spec\n%s\nreference\n%s", name, trial, prec, got, want)
+				}
+				if !sameMACParams(p.k, rk) {
+					t.Fatalf("%s trial %d %v: integer parameters differ from the reference", name, trial, prec)
+				}
+				labels, ref := make([]int, len(probe)), make([]int, len(probe))
+				if err := p.Predict(labels, probe); err != nil {
+					t.Fatal(err)
+				}
+				rk.predict(ref, probe, rs)
+				for i := range probe {
+					if labels[i] != ref[i] {
+						t.Fatalf("%s trial %d %v: row %d %v: label %d, reference %d",
+							name, trial, prec, i, probe[i], labels[i], ref[i])
+					}
+				}
+			}
+		}
+		t.Logf("%s: %d int8 and %d int16 programs match", name, compiled[Int8], compiled[Int16])
+		if compiled[Int8] < 100 || compiled[Int16] < 100 {
+			t.Fatalf("%s: compiled %d int8 and %d int16 models, want at least 100 of each",
+				name, compiled[Int8], compiled[Int16])
+		}
+	}
+}
+
+// TestQuantCapacityMatchesReference: the capacity check of a rank-coded
+// program accepts and rejects exactly the threshold sets the reference
+// rank coder does, with the same error. The sets hold around the Int8
+// capacity of distinct values, with ties, NaN, ±Inf and -0, and one
+// feature past dim that neither counts.
+func TestQuantCapacityMatchesReference(t *testing.T) {
+	src := rng.New(24)
+	special := []float64{math.NaN(), math.Inf(1), math.Inf(-1), math.Copysign(0, -1), 0}
+	rejected := 0
+	for trial := 0; trial < 400; trial++ {
+		dim, half := 1+src.Intn(4), Int8.half()
+		per, ref := map[int][]float64{}, map[int][]float64{}
+		for j := 0; j <= dim; j++ {
+			m := 220 + src.Intn(60)
+			for i := 2*m + src.Intn(3*m); i > 0; i-- {
+				v := float64(src.Intn(m))
+				if src.Bool(0.02) {
+					v = special[src.Intn(len(special))]
+				}
+				per[j] = append(per[j], v)
+				ref[j] = append(ref[j], v)
+			}
+		}
+		err := rankCapacity(dim, half, per)
+		_, rerr := refBuildRankQ(dim, half, ref)
+		if (err == nil) != (rerr == nil) || err != nil && err.Error() != rerr.Error() {
+			t.Fatalf("trial %d: capacity error %v, reference %v", trial, err, rerr)
+		}
+		if err != nil {
+			rejected++
+		}
+	}
+	t.Logf("%d of 400 threshold sets rejected", rejected)
+	if rejected < 40 || rejected > 360 {
+		t.Fatalf("%d of 400 threshold sets rejected: the sets do not straddle the capacity", rejected)
+	}
+}
+
+// TestQuantRankMatchesFloat: a rank-coded program decides every
+// comparison as float64 does, so at both widths the four comparison
+// programs label every row as the float64 program and the interpreted
+// classifier do. The models train on mltest.Random and mltest.Tricky
+// rows, and the probes add Tricky rows and rows of NaN, ±Inf and zeros.
+func TestQuantRankMatchesFloat(t *testing.T) {
+	src := rng.New(23)
+	for trial := 0; trial < 60; trial++ {
+		dim, k := 1+src.Intn(8), 2+src.Intn(4)
+		gen := mltest.Random
+		if trial%2 == 1 {
+			gen = mltest.Tricky
+		}
+		x, y := gen(src, 30+src.Intn(200), dim, k)
+		probe, _ := mltest.Tricky(src, 200, dim, k)
+		probe = append(append(probe, x...), specialRows(x[0])...)
+		for _, name := range quantNames[:4] {
+			c := randomModel(t, src, name, trial/2, x, y, k)
+			fp, err := Compile(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]int, len(probe))
+			if err := fp.Predict(want, probe); err != nil {
+				t.Fatal(err)
+			}
+			for i, row := range probe {
+				if l := c.Predict(row); want[i] != l {
+					t.Fatalf("%s trial %d: row %d %v: float64 %d, interpreted %d", name, trial, i, row, want[i], l)
+				}
+			}
+			for _, prec := range []Precision{Int8, Int16} {
+				qp, err := Compile(c, WithPrecision(prec), WithCalibration(x))
+				if err != nil {
+					t.Fatalf("%s trial %d %v: %v", name, trial, prec, err)
+				}
+				got := make([]int, len(probe))
+				if err := qp.Predict(got, probe); err != nil {
+					t.Fatal(err)
+				}
+				for i, row := range probe {
+					if got[i] != want[i] {
+						t.Fatalf("%s trial %d %v: row %d %v: label %d, float64 %d",
+							name, trial, prec, i, row, got[i], want[i])
+					}
+				}
+			}
+		}
 	}
 }

@@ -1172,7 +1172,7 @@ func (s *Service) Stats() Stats {
 			st.WindowsPerSec = float64(st.WindowsProcessed) / st.UptimeSeconds
 		}
 	}
-	h := s.cfg.Registry.Snapshot().Histograms[VerdictLatencyMetric]
+	h := s.hLatency.Snapshot()
 	if p := h.Quantile(0.50); !math.IsNaN(p) {
 		st.VerdictLatencyP50MS = p * 1000
 	}

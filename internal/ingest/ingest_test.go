@@ -8,6 +8,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -822,6 +823,44 @@ func TestEnqueueRejectsWrongDimension(t *testing.T) {
 	waitDrained(t, s)
 	if st := s.Stats(); st.WindowsProcessed != 1 || st.MalwareWindows != 1 {
 		t.Fatalf("stats after the good batch = %+v", st)
+	}
+}
+
+// TestStatsReadsOnlyLatency: Stats reads the verdict-latency histogram
+// alone, not a snapshot of the whole registry, so the bytes a call
+// allocates stay flat when the registry grows by 1,000 series.
+func TestStatsReadsOnlyLatency(t *testing.T) {
+	s, err := New(testConfig(t, nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.hLatency.Observe(0.002)
+	perCall := func() float64 {
+		const calls = 500
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < calls; i++ {
+			if st := s.Stats(); st.VerdictLatencyP50MS <= 0 {
+				t.Fatalf("stats = %+v, want a verdict-latency p50", st)
+			}
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / calls
+	}
+	bare := perCall()
+	reg := s.cfg.Registry
+	for i := 0; i < 1000; i++ {
+		switch name := fmt.Sprintf("extra.series_%d", i); i % 3 {
+		case 0:
+			reg.Counter(name).Inc()
+		case 1:
+			reg.Gauge(name).Set(1)
+		default:
+			reg.Histogram(name, obs.TimeBuckets).Observe(0.001)
+		}
+	}
+	if grown := perCall(); grown > 1.25*bare+64 {
+		t.Fatalf("Stats allocates %.0f B per call with 1,000 more series, %.0f B without", grown, bare)
 	}
 }
 

@@ -167,7 +167,9 @@ func (h *Histogram) Count() int64 {
 	return h.count
 }
 
-func (h *Histogram) snapshot() HistogramSnapshot {
+// Snapshot returns a copy of the histogram's buckets, counts, sum,
+// extremes and exemplars, as Registry.Snapshot reports it.
+func (h *Histogram) Snapshot() HistogramSnapshot {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	s := HistogramSnapshot{
@@ -375,7 +377,7 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Gauges[e.name] = e.g.Value()
 	}
 	for _, e := range hists {
-		s.Histograms[e.name] = e.h.snapshot()
+		s.Histograms[e.name] = e.h.Snapshot()
 	}
 	return s
 }

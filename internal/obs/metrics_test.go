@@ -97,7 +97,7 @@ func TestHistogramRunMatchesReference(t *testing.T) {
 				}
 			}
 		}
-		g, w := got.snapshot(), want.snapshot()
+		g, w := got.Snapshot(), want.Snapshot()
 		if fmt.Sprint(g.Counts) != fmt.Sprint(w.Counts) || g.Count != w.Count ||
 			math.Float64bits(g.Sum) != math.Float64bits(w.Sum) ||
 			math.Float64bits(g.Min) != math.Float64bits(w.Min) ||
@@ -112,7 +112,7 @@ func TestHistogramRunMatchesReference(t *testing.T) {
 	h := newHistogram(TimeBuckets)
 	h.ObserveN(1, 0)
 	h.ObserveN(1, -3)
-	if s := h.snapshot(); s.Count != 0 || s.Sum != 0 || s.Min != 0 || s.Max != 0 {
+	if s := h.Snapshot(); s.Count != 0 || s.Sum != 0 || s.Min != 0 || s.Max != 0 {
 		t.Fatalf("ObserveN with n <= 0 recorded %+v", s)
 	}
 }

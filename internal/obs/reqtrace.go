@@ -502,6 +502,14 @@ func (at *ActiveTrace) commitLocked() {
 	if keep == "" && at.tracer.slowNS > 0 && durNS >= at.tracer.slowNS {
 		keep = "slow"
 	}
+	// The ring charges the spans by length, so a retained trace keeps no
+	// spare capacity that append grew: five ingest spans would otherwise
+	// hold eight slots.
+	spans := at.spans
+	if cap(spans) > len(spans) {
+		spans = make([]SpanRecord, len(at.spans))
+		copy(spans, at.spans)
+	}
 	snap := ReqTraceSnapshot{
 		TraceID:      at.id,
 		Name:         at.name,
@@ -511,7 +519,7 @@ func (at *ActiveTrace) commitLocked() {
 		Error:        at.errMsg,
 		KeepReason:   keep,
 		DroppedSpans: at.droppedSpans,
-		Spans:        at.spans,
+		Spans:        spans,
 	}
 	if at.parent != 0 {
 		var b [16]byte

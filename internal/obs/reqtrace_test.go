@@ -208,6 +208,31 @@ func TestEstimateTraceBytes(t *testing.T) {
 	}
 }
 
+// TestReqTracerRetainsExactSpans: a committed trace holds its spans in
+// an exact-length slice, so the ring's length-based charge counts every
+// span slot it keeps. Five spans, as an ingest trace records, would
+// otherwise keep the eight slots append grew.
+func TestReqTracerRetainsExactSpans(t *testing.T) {
+	rt := NewReqTracer(ReqTracerConfig{HeadRatio: 1})
+	at := rt.Sample(TraceContext{}, "ingest", "acme", 0)
+	for i := 0; i < 5; i++ {
+		at.AddSpan("stage", int64(i), int64(i+1), ReqAttr{Key: "k", Value: float64(i)})
+	}
+	endTrace(at, 5)
+	snap, ok := rt.Get(at.TraceID())
+	if !ok {
+		t.Fatal("committed trace not retained")
+	}
+	if len(snap.Spans) != 5 || cap(snap.Spans) != len(snap.Spans) {
+		t.Fatalf("retained spans have len %d cap %d, want 5 and 5", len(snap.Spans), cap(snap.Spans))
+	}
+	for i, sp := range snap.Spans {
+		if sp.Name != "stage" || sp.StartUnixUS != 0 || len(sp.Attrs) != 1 || sp.Attrs[0].Value != float64(i) {
+			t.Fatalf("span %d = %+v", i, sp)
+		}
+	}
+}
+
 // TestReqTracerNewestUnkeptLands: with every retained trace tail-kept,
 // an unkept trace that commits over the bound still lands, so the
 // trace_id its receipt returned resolves, and the oldest kept trace goes.

@@ -249,7 +249,9 @@ type DriftDetector struct {
 	base *Baseline
 	cfg  DriftConfig
 	// counts[epoch][feature][bin], sums/sumSqs[epoch][feature]: the live
-	// sliding-window sketch, commutative like the scoreboard's.
+	// sliding-window sketch. Counts are order-free; sums and sumSqs are
+	// float adds, bit-identical when windows arrive in the same order,
+	// like the scoreboard's calibration sums.
 	counts   [][][]int64
 	sums     [][]float64
 	sumSqs   [][]float64

@@ -17,12 +17,17 @@
 //     Kolmogorov–Smirnov statistic, exported as obs gauges, drift
 //     events on the bus, and the /drift endpoint.
 //
-// Both accumulate into an epoch ring: Observe adds commutative counts to
-// the current epoch and Advance rotates the ring, so the sliding window
-// is the aggregate of the last epochs rotations. Because every update is
-// a commutative sum, concurrent observers produce bit-identical snapshots
-// at any worker count and completion order — the same determinism
-// contract the rest of the pipeline keeps.
+// Both accumulate into an epoch ring: Observe adds to the current epoch
+// and Advance rotates the ring, so the sliding window is the aggregate
+// of the last epochs rotations. Counts are order-free: confusion
+// matrices, histogram bins and window totals come out the same at any
+// worker count and completion order. The real-valued sums are not: the
+// scoreboard's calibration score mass and the drift detector's sums and
+// sums of squares are float adds, whose bits depend on their order.
+// Snapshots are therefore bit-identical when one goroutine writes each
+// instrument in arrival order, which is how the ingest service drives
+// them (one shard owns each tenant's scoreboard and drift detector) —
+// the same determinism contract the rest of the pipeline keeps.
 //
 // The need for this layer is the central lesson of the adversarial HMD
 // literature: Kuruvila et al. show hardware malware detector accuracy
@@ -95,7 +100,7 @@ func classNames(k int) []string {
 	return names
 }
 
-// epoch is one rotation's worth of commutative counts.
+// epoch is one rotation's worth of counts and calibration score sums.
 type epoch struct {
 	conf *eval.Confusion
 	// scoreHist[class][bin] counts scores of windows whose ACTUAL label
@@ -242,7 +247,9 @@ func (s *Scoreboard) ObserveChunk(actual, predicted []int, scores []float64) {
 // Advance rotates the epoch ring, evicting the oldest epoch, and
 // refreshes the exported gauges from the new sliding window. The ingest
 // service calls it every 4096 windows of a tenant; rotation is the only
-// form of eviction, so within-epoch observation order never matters.
+// form of eviction, so within-epoch observation order never changes a
+// count. The calibration score sums are float adds: they hold the same
+// bits when the windows are observed in the same order.
 func (s *Scoreboard) Advance() {
 	s.mu.Lock()
 	s.cur = (s.cur + 1) % len(s.epochs)
@@ -291,8 +298,9 @@ type CalibrationBin struct {
 }
 
 // QualitySnapshot is the frozen scoreboard state over the sliding window,
-// served as JSON on /quality. All fields derive from commutative counts,
-// so snapshots are deterministic at any observer parallelism.
+// served as JSON on /quality. Its counts are the same at any observer
+// parallelism; its mean scores and ECE, which read the calibration score
+// sums, are bit-identical when one goroutine observes in arrival order.
 type QualitySnapshot struct {
 	// Observed counts every labeled prediction ever; WindowObserved only
 	// those inside the current sliding window.

@@ -138,10 +138,13 @@ func TestScoreboardIgnoresBadLabels(t *testing.T) {
 	nils.Observe(0, 0, 0.5) // nil-safe
 }
 
-// TestScoreboardDeterministicConcurrent pins the parallelism contract:
-// the same observations arriving from many goroutines in any order
-// produce the same snapshot as a serial feed, because every update is a
-// commutative count.
+// TestScoreboardDeterministicConcurrent pins the parallelism contract
+// for counts: the same observations arriving from many goroutines in any
+// order give the same confusion matrix, accuracy, F1 and window total as
+// a serial feed. Its ECE matches as well only because each calibration
+// bin here sees one repeated score, whose sum is the same in any order;
+// calibration sums of different scores are float adds whose bits depend
+// on arrival order.
 func TestScoreboardDeterministicConcurrent(t *testing.T) {
 	serial := NewScoreboard(Config{Registry: obs.NewRegistry()})
 	for i := 0; i < 400; i++ {
