@@ -98,3 +98,37 @@ func TestSoftmaxMatchesReference(t *testing.T) {
 		}
 	}
 }
+
+// expSink keeps the benchmarked exponentials live.
+var expSink float64
+
+// benchExp times fill on four arguments at a time, drawn from the
+// range the MLP's hidden-layer sigmoids feed exp4. An op is four
+// exponentials.
+func benchExp(b *testing.B, fill func(e *[4]float64, x0, x1, x2, x3 float64)) {
+	src := rand.New(rand.NewSource(1))
+	xs := make([]float64, 1024)
+	for i := range xs {
+		xs[i] = src.NormFloat64() * 8
+	}
+	var e [4]float64
+	sum := 0.0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		j := i * 4 & (len(xs) - 1)
+		fill(&e, xs[j], xs[j+1], xs[j+2], xs[j+3])
+		sum += e[0] + e[1] + e[2] + e[3]
+	}
+	expSink = sum
+}
+
+// BenchmarkExp4 times exp4, which interleaves the four evaluations.
+func BenchmarkExp4(b *testing.B) { benchExp(b, exp4) }
+
+// BenchmarkMathExp4 times four math.Exp calls, the fallback exp4 takes
+// where no replay of math.Exp matches.
+func BenchmarkMathExp4(b *testing.B) {
+	benchExp(b, func(e *[4]float64, x0, x1, x2, x3 float64) {
+		e[0], e[1], e[2], e[3] = math.Exp(x0), math.Exp(x1), math.Exp(x2), math.Exp(x3)
+	})
+}

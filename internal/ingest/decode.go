@@ -2,49 +2,13 @@ package ingest
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
-	"net/http"
 	"strconv"
 	"strings"
 )
-
-// maxPresize caps the body buffer sized from Content-Length: a request
-// that declares more than it sends cannot make the server allocate
-// more than this up front.
-const maxPresize = 256 << 10
-
-// readBatch reads a JSON Batch body of at most maxBodyBytes (r is the
-// request's http.MaxBytesReader) and decodes it. The canonical wire form
-// json.Marshal and json.Encoder emit takes decodeBatch; anything it
-// declines goes to encoding/json, which also writes every error message.
-func readBatch(r io.Reader, contentLength int64) (Batch, error) {
-	buf := bytes.NewBuffer(make([]byte, 0, min(max(contentLength, 0), maxPresize)+bytes.MinRead))
-	if _, err := buf.ReadFrom(r); err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			return Batch{}, fmt.Errorf("body exceeds %d bytes", maxErr.Limit)
-		}
-		return Batch{}, fmt.Errorf("decoding batch: %w", err)
-	}
-	if batch, ok := decodeBatch(buf.Bytes()); ok {
-		return batch, nil
-	}
-	var batch Batch
-	dec := json.NewDecoder(bytes.NewReader(buf.Bytes()))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&batch); err != nil {
-		return Batch{}, fmt.Errorf("decoding batch: %w", err)
-	}
-	if dec.More() {
-		return Batch{}, errors.New("trailing data after batch object (use application/x-ndjson for streams)")
-	}
-	return batch, nil
-}
 
 // readNDJSON decodes one Window per non-blank line of r, each line at
 // most 1 MiB, with json.Unmarshal.
@@ -83,7 +47,9 @@ func readNDJSON(r io.Reader) ([]Window, error) {
 // encoding/json decodes it (FuzzDecodeBatch).
 //
 // A request's values share one slab and its labels another, so decoding
-// allocates per request rather than per window.
+// allocates per request rather than per window, and a decoder that is
+// reused keeps its slabs' room: the handler's decoders come from reqPool
+// and allocate nothing for slabs that room can hold.
 type decoder struct {
 	b []byte // input
 	i int    // read offset in b
@@ -103,10 +69,22 @@ var (
 	windowKeys = [3]string{"endpoint", "label", "values"}
 )
 
-// decodeBatch decodes a whole JSON Batch body. It reports false on any
-// input it does not handle.
+// decodeBatch decodes a whole JSON Batch body with a fresh decoder. It
+// reports false on any input it does not handle.
 func decodeBatch(b []byte) (Batch, bool) {
-	d := decoder{b: b, vals: []float64{}}
+	var d decoder
+	return d.decode(b)
+}
+
+// decode decodes a whole JSON Batch body onto the decoder's slabs,
+// overwriting what its last decode left there. Only their room carries
+// over, so it decodes every input exactly as a fresh decoder does. It
+// reports false on any input it does not handle.
+func (d *decoder) decode(b []byte) (Batch, bool) {
+	*d = decoder{b: b, wins: d.wins[:0], vals: d.vals[:0], labels: d.labels[:0]}
+	if d.vals == nil {
+		d.vals = []float64{}
+	}
 	var batch Batch
 	ok := d.members(&batchKeys, func(key string) bool {
 		switch key {
@@ -119,12 +97,16 @@ func decodeBatch(b []byte) (Batch, bool) {
 			batch.Overflow = string(s)
 			return ok
 		}
-		return d.windows()
+		ok := d.windows()
+		batch.Windows = d.wins // non-nil: the key was present
+		return ok
 	})
 	if !ok || !d.end() {
 		return Batch{}, false
 	}
-	batch.Windows = d.finish()
+	if batch.Windows != nil {
+		batch.Windows = d.finish()
+	}
 	return batch, true
 }
 
@@ -154,7 +136,9 @@ func (d *decoder) windows() bool {
 	if !d.consume('[') {
 		return false
 	}
-	d.wins = []Window{}
+	if d.wins == nil {
+		d.wins = []Window{}
+	}
 	if d.consume(']') {
 		return true
 	}
@@ -187,11 +171,20 @@ func (d *decoder) reserve(n int) {
 	}
 	first := d.wins[0]
 	more := min((n-len(d.wins))*len(first.Values), (len(d.b)-d.i)/8)
-	d.wins = append(make([]Window, 0, n), d.wins...)
-	d.vals = append(make([]float64, 0, len(d.vals)+more), d.vals...)
+	d.wins = withRoom(d.wins, n)
+	d.vals = withRoom(d.vals, len(d.vals)+more)
 	if first.Label != nil {
-		d.labels = append(make([]int, 0, n), d.labels...)
+		d.labels = withRoom(d.labels, n)
 	}
+}
+
+// withRoom returns s with room for n elements, moved to a new backing
+// array only when its own has less.
+func withRoom[T any](s []T, n int) []T {
+	if cap(s) >= n {
+		return s
+	}
+	return append(make([]T, 0, n), s...)
 }
 
 // window decodes one Window object onto the slabs.

@@ -209,7 +209,10 @@ func BenchmarkIngestDecode(b *testing.B) {
 		decode func() error
 	}{
 		{"wire", func() error {
-			_, err := readBatch(bytes.NewReader(body), int64(len(body)))
+			m := reqPool.Get().(*reqMem)
+			defer m.free()
+			_, sl, err := m.readBatch(bytes.NewReader(body), int64(len(body)))
+			sl.release(1)
 			return err
 		}},
 		{"encoding_json", func() error {
@@ -231,7 +234,8 @@ func BenchmarkIngestDecode(b *testing.B) {
 
 // FuzzDecodeBatch checks decodeBatch against encoding/json: whenever the
 // fast decoder accepts a body, the reference decode (DisallowUnknownFields,
-// then More) accepts it too and yields the same Batch, bit for bit.
+// then More) accepts it too and yields the same Batch, bit for bit. A
+// reused decoder must decode every body as a fresh one does.
 func FuzzDecodeBatch(f *testing.F) {
 	ws := wireWindows(64)
 	f.Add(marshal(f, Batch{Windows: ws}))
@@ -258,8 +262,27 @@ func FuzzDecodeBatch(f *testing.F) {
 	} {
 		f.Add([]byte(s))
 	}
+	// The handler's decoders come from a pool: one that has just decoded
+	// another input, whose slabs still hold that input's windows, must
+	// decode each input exactly as a fresh decoder does.
+	priors := [][]byte{marshal(f, Batch{Windows: ws}), encoded.Bytes(),
+		[]byte(`{"windows":[{"endpoint":"ep","values":[1,2,3,4,5,6,7,8]},{"label":0,"values":[]}]}`)}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		got, ok := decodeBatch(body)
+		for _, prior := range append(priors, body) {
+			var d decoder
+			d.decode(prior)
+			again, aok := d.decode(body)
+			if aok != ok {
+				t.Fatalf("after decoding %.40q, a reused decoder reports %v where a fresh one reports %v: %q", prior, aok, ok, body)
+			}
+			if ok {
+				if again.Tenant != got.Tenant || again.Overflow != got.Overflow {
+					t.Fatalf("reused decoder: envelope %q/%q, fresh %q/%q", again.Tenant, again.Overflow, got.Tenant, got.Overflow)
+				}
+				sameWindows(t, again.Windows, got.Windows)
+			}
+		}
 		if !ok {
 			return
 		}

@@ -123,11 +123,20 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 
 	var batch Batch
+	var sl *valueSlab
 	var err error
 	if strings.HasPrefix(r.Header.Get("Content-Type"), "application/x-ndjson") {
 		batch.Windows, err = readNDJSON(body)
 	} else {
-		batch, err = readBatch(body, r.ContentLength)
+		// The body and the decoder's slabs are the handler's alone; the
+		// value slab outlives it while queued windows point into it.
+		m := reqPool.Get().(*reqMem)
+		defer m.free()
+		batch, sl, err = m.readBatch(body, r.ContentLength)
+		if sl != nil {
+			sl.poison = s.poisonSlabs
+		}
+		defer sl.release(1)
 	}
 	if err != nil {
 		httpapi.Error(w, http.StatusBadRequest, httpapi.CodeBadRequest, err.Error())
@@ -187,7 +196,7 @@ func (s *Service) handleIngest(w http.ResponseWriter, r *http.Request) {
 			obs.ReqAttr{Key: "windows", Value: float64(len(batch.Windows))})
 	}
 
-	res, err := s.EnqueueTraced(tenantID, batch.Overflow, batch.Windows, at)
+	res, err := s.enqueue(tenantID, batch.Overflow, batch.Windows, at, sl)
 	if err != nil {
 		var full *QueueFullError
 		var limit *TenantLimitError

@@ -225,6 +225,10 @@ type queuedWindow struct {
 	label      int8 // -1 = unlabeled
 	enqueuedNS int64
 	values     []float64
+	// slab is the pooled value slab that values lies on, referenced until
+	// the window has its verdict or is evicted (nil: the caller owns the
+	// values).
+	slab *valueSlab
 	// trace is the request trace every window of a sampled batch shares
 	// (nil for the vast unsampled majority: carrying the pointer costs
 	// the hot path nothing).
@@ -311,6 +315,9 @@ type Service struct {
 	// now reads the service's clock in Unix nanoseconds: the wall clock,
 	// replaced only by in-package tests that need exact latencies.
 	now func() int64
+	// poisonSlabs, set only by in-package tests, overwrites each request
+	// value slab with NaN as it goes back to the pool.
+	poisonSlabs bool
 
 	// Per-tenant quality/drift instruments export their gauges into this
 	// private registry (and drift events into the private bus) so the
@@ -523,8 +530,17 @@ func (s *Service) Enqueue(tenantID, overflow string, ws []Window) (Accepted, err
 // queued window is stamped with at so the drain side can close the
 // dequeue/infer/quality spans, and the trace's pending count grows by the
 // accepted window count before any of them becomes visible to a shard.
-// at == nil (the unsampled fast path) behaves exactly like Enqueue.
+// at == nil (the unsampled fast path) behaves exactly like Enqueue. The
+// service never recycles the memory ws points to.
 func (s *Service) EnqueueTraced(tenantID, overflow string, ws []Window, at *obs.ActiveTrace) (Accepted, error) {
+	return s.enqueue(tenantID, overflow, ws, at, nil)
+}
+
+// enqueue is EnqueueTraced for windows whose values lie on sl, a pooled
+// value slab (nil when the caller owns the values). Each accepted window
+// takes a reference to sl before any of them becomes visible to a shard,
+// and gives it back once it has its verdict or is evicted.
+func (s *Service) enqueue(tenantID, overflow string, ws []Window, at *obs.ActiveTrace, sl *valueSlab) (Accepted, error) {
 	if s.started.Load() && s.ctx.Err() != nil {
 		return Accepted{}, ErrStopped
 	}
@@ -595,6 +611,7 @@ func (s *Service) EnqueueTraced(tenantID, overflow string, ws []Window, at *obs.
 					tr.FinishPending(1, now)
 				}
 			}
+			releaseSlabs(seg)
 			clear(seg)
 		}
 		t.head = (t.head + evict) % len(t.queue)
@@ -607,6 +624,9 @@ func (s *Service) EnqueueTraced(tenantID, overflow string, ws []Window, at *obs.
 	// Grow the trace's pending count before any stamped window becomes
 	// visible to a shard worker, so the trace cannot commit mid-batch.
 	at.AddPending(len(incoming))
+	if sl != nil {
+		sl.refs.Add(int64(len(incoming)))
+	}
 	src := incoming
 	a, b := t.segments(t.n, len(src))
 	for _, seg := range [...][]queuedWindow{a, b} {
@@ -618,7 +638,7 @@ func (s *Service) EnqueueTraced(tenantID, overflow string, ws []Window, at *obs.
 			}
 			seg[i] = queuedWindow{
 				endpoint: w.Endpoint, label: label,
-				enqueuedNS: now, values: w.Values, trace: at,
+				enqueuedNS: now, values: w.Values, slab: sl, trace: at,
 			}
 		}
 		src = src[len(seg):]
@@ -759,9 +779,11 @@ type shardScratch struct {
 }
 
 // release drops the chunk's references to its windows once they have
-// their verdicts, so an idle shard pins neither the last chunk's value
-// slabs nor its traces.
+// their verdicts and drift has read their values: a pooled value slab
+// goes back to its pool when its last window is released, and an idle
+// shard pins neither the last chunk's value slabs nor its traces.
 func (sc *shardScratch) release() {
+	releaseSlabs(sc.ws)
 	clear(sc.ws)
 	clear(sc.X)
 }
@@ -1117,7 +1139,7 @@ func (s *Service) TenantDrift(id string) (snap quality.DriftSnapshot, ok, armed 
 // Stats is the service-wide roll-up served by GET /api/v1/ingest: the
 // load-test harness reads sustained windows/sec and ingest-to-verdict
 // latency percentiles from here. QueueSlots sums every tenant's ring
-// slots, the queues' share of the heap at 64 B a slot.
+// slots, the queues' share of the heap at 72 B a slot.
 type Stats struct {
 	Started          bool    `json:"started"`
 	Program          string  `json:"program,omitempty"`

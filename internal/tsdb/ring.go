@@ -1,5 +1,7 @@
 package tsdb
 
+import "unsafe"
+
 // Point is one retained bucket of a series: the min/max/sum/count of
 // every sample that landed in its time slot. Raw-tier points hold a
 // single sample (Count 1, Min == Max == Sum); downsampled tiers merge
@@ -59,43 +61,87 @@ type sample struct {
 	v float64
 }
 
-// ring is one resolution tier of one series: a fixed-capacity circular
-// buffer. Capacity — not wall-clock — bounds storage: when the ring is
-// full the oldest point is overwritten, so a tier's retention window is
-// capacity × resolution regardless of how long the process runs. resMS
-// 0 means "no bucketing": the raw tier, which keeps one (t, v) sample
-// per scrape in raw and reads each back as a Count-1 Point. The
-// bucketed tiers keep Points in pts; exactly one of the two is set.
+// ring is one resolution tier of one series: a circular buffer of at
+// most bound points. The bound — not wall-clock — limits storage: when
+// the ring is full the oldest point is overwritten, so a tier's
+// retention window is bound × resolution regardless of how long the
+// process runs. Until then the slots grow with the points: they start at
+// firstSlots and double, capped at the bound, so a young series holds
+// only the history it has. The live points sit in slots [0, next) until
+// the ring first fills, and only then does it wrap. resMS 0 means "no
+// bucketing": the raw tier, which keeps one (t, v) sample per scrape in
+// raw and reads each back as a Count-1 Point. The bucketed tiers keep
+// Points in pts; exactly one of the two is set.
 type ring struct {
 	resMS int64
 	pts   []Point
 	raw   []sample
+	bound int
 	next  int
 	full  bool
 }
 
+// firstSlots is how many slots a tier allocates at its first point.
+const firstSlots = 8
+
+// Slot sizes in bytes: a raw sample and a bucket.
+const (
+	sampleBytes = int(unsafe.Sizeof(sample{}))
+	pointBytes  = int(unsafe.Sizeof(Point{}))
+)
+
 func newRing(resMS int64, capacity int) *ring {
+	n := min(firstSlots, capacity)
 	if resMS == 0 {
-		return &ring{raw: make([]sample, capacity)}
+		return &ring{raw: make([]sample, n), bound: capacity}
 	}
-	return &ring{resMS: resMS, pts: make([]Point, capacity)}
+	return &ring{resMS: resMS, pts: make([]Point, n), bound: capacity}
 }
 
-// capacity returns the ring's size in points.
-func (r *ring) capacity() int {
+// capacity returns the ring's bound in points.
+func (r *ring) capacity() int { return r.bound }
+
+// slots returns how many points the ring has room for now.
+func (r *ring) slots() int {
 	if r.raw != nil {
 		return len(r.raw)
 	}
 	return len(r.pts)
 }
 
-// at returns the point in slot i. A raw sample reads as the Count-1
-// bucket Point.observe makes from it, whose Sum is 0 + v: a -0 sample
-// has Min and Max -0 but sums to +0.
+// bytes returns the bytes of the ring's allocated slots.
+func (r *ring) bytes() int {
+	if r.raw != nil {
+		return len(r.raw) * sampleBytes
+	}
+	return len(r.pts) * pointBytes
+}
+
+// grow doubles the ring's slots, capped at its bound. It runs only
+// before the ring first fills, when the live points are slots [0, next).
+func (r *ring) grow() {
+	n := min(2*r.slots(), r.bound)
+	if r.raw != nil {
+		r.raw = append(make([]sample, 0, n), r.raw...)[:n]
+	} else {
+		r.pts = append(make([]Point, 0, n), r.pts...)[:n]
+	}
+}
+
+// at returns the point in slot i, for i below the bound. A raw sample
+// reads as the Count-1 bucket Point.observe makes from it, whose Sum is
+// 0 + v: a -0 sample has Min and Max -0 but sums to +0. A slot the ring
+// has not grown to yet holds no point and reads as the zero Point.
 func (r *ring) at(i int) Point {
 	if r.raw != nil {
+		if i >= len(r.raw) {
+			return Point{}
+		}
 		s := r.raw[i]
 		return Point{T: s.t, Min: s.v, Max: s.v, Sum: 0 + s.v, Count: 1}
+	}
+	if i >= len(r.pts) {
+		return Point{}
 	}
 	return r.pts[i]
 }
@@ -130,12 +176,18 @@ func (r *ring) observe(tMS int64, v float64) {
 			r.raw[i].v = v
 			return
 		}
+		if r.next == len(r.raw) {
+			r.grow()
+		}
 		r.raw[r.next] = sample{t: tMS, v: v}
 	} else {
 		bucket := tMS - tMS%r.resMS
 		if i := r.lastIdx(); i >= 0 && r.pts[i].T == bucket {
 			r.pts[i].observe(v)
 			return
+		}
+		if r.next == len(r.pts) {
+			r.grow()
 		}
 		p := Point{T: bucket}
 		p.observe(v)

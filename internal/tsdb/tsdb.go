@@ -1,6 +1,6 @@
 // Package tsdb is the embedded time-series store of the observability
 // stack: a bounded-memory, multi-resolution history of every metric the
-// obs registry exports, held entirely in fixed-capacity ring buffers so
+// obs registry exports, held entirely in bounded ring buffers so
 // a serve daemon can answer "what did windows/sec, F1 and drift PSI
 // look like for the last day" without any external database.
 //
@@ -21,9 +21,12 @@
 // obs.HistogramSnapshot.Quantile helper.
 //
 // Memory is bounded by ring capacity, not wall-clock: each series costs
-// 600 × 16 B + (480+720) × 40 B = 57.6 KB regardless of uptime, and the
-// series population is bounded by the registry's metric names. The
-// store also retains a bounded ring of alert, drift and alarm events —
+// at most 600 × 16 B + (480+720) × 40 B = 57.6 KB regardless of uptime,
+// and the series population is bounded by the registry's metric names.
+// A tier's slots grow with its points up to that bound, so a series
+// holds the full 57.6 KB only once its 2m tier has filled, after a day;
+// tsdb.ring_bytes reports the bytes the tiers hold. The store also
+// retains a bounded ring of alert, drift and alarm events —
 // the /alerts/history payload — so "what fired in the last hour"
 // outlives the alert engine's current state.
 package tsdb
@@ -43,6 +46,9 @@ const (
 	SamplesMetric  = "tsdb.samples"
 	SeriesMetric   = "tsdb.series"
 	ScrapeMSMetric = "tsdb.scrape_ms"
+	// RingBytesMetric gauges the bytes of every tier's allocated slots,
+	// set at each scrape.
+	RingBytesMetric = "tsdb.ring_bytes"
 )
 
 // Series kinds, reported in the catalog.
@@ -58,7 +64,8 @@ const (
 )
 
 // Per-series tier capacities in points: together they are the store's
-// memory cap, bytes/series = 16 × raw + 40 × (mid+long).
+// memory cap, bytes/series = 16 × raw + 40 × (mid+long). A tier holds
+// fewer slots until it first fills.
 const (
 	rawCapacity  = 600
 	midCapacity  = 480
@@ -102,10 +109,11 @@ type Store struct {
 
 	running atomic.Bool
 
-	mScrapes *obs.Counter
-	mSamples *obs.Counter
-	gSeries  *obs.Gauge
-	hScrape  *obs.Histogram
+	mScrapes   *obs.Counter
+	mSamples   *obs.Counter
+	gSeries    *obs.Gauge
+	gRingBytes *obs.Gauge
+	hScrape    *obs.Histogram
 }
 
 // New builds a store over the given registry without scraping yet.
@@ -120,13 +128,14 @@ func New(cfg Config) *Store {
 		cfg.Bus = obs.DefaultBus
 	}
 	return &Store{
-		cfg:      cfg,
-		series:   map[string]*series{},
-		events:   obs.NewRing[obs.Event](eventDepth, 0),
-		mScrapes: cfg.Registry.Counter(ScrapesMetric),
-		mSamples: cfg.Registry.Counter(SamplesMetric),
-		gSeries:  cfg.Registry.Gauge(SeriesMetric),
-		hScrape:  cfg.Registry.Histogram(ScrapeMSMetric, []float64{0.1, 0.5, 1, 5, 10, 50}),
+		cfg:        cfg,
+		series:     map[string]*series{},
+		events:     obs.NewRing[obs.Event](eventDepth, 0),
+		mScrapes:   cfg.Registry.Counter(ScrapesMetric),
+		mSamples:   cfg.Registry.Counter(SamplesMetric),
+		gSeries:    cfg.Registry.Gauge(SeriesMetric),
+		gRingBytes: cfg.Registry.Gauge(RingBytesMetric),
+		hScrape:    cfg.Registry.Histogram(ScrapeMSMetric, []float64{0.1, 0.5, 1, 5, 10, 50}),
 	}
 }
 
@@ -191,12 +200,18 @@ func (st *Store) ScrapeAt(now time.Time) {
 	if tMS > st.lastMS {
 		st.lastMS = tMS
 	}
-	nseries := len(st.series)
+	nseries, ringBytes := len(st.series), 0
+	for _, s := range st.series {
+		for _, r := range s.tiers {
+			ringBytes += r.bytes()
+		}
+	}
 	st.mu.Unlock()
 
 	st.mScrapes.Inc()
 	st.mSamples.Add(samples)
 	st.gSeries.Set(float64(nseries))
+	st.gRingBytes.Set(float64(ringBytes))
 	st.hScrape.Observe(float64(time.Since(t0).Microseconds()) / 1000)
 }
 

@@ -4,8 +4,10 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
@@ -468,7 +470,7 @@ func (r *refRing) observe(tMS int64, v float64) {
 // ring returns a bucketed-layout ring over the reference's points, for
 // a store whose queries must read them through the shared query code.
 func (r *refRing) ring() *ring {
-	return &ring{pts: r.pts, next: r.next, full: r.full}
+	return &ring{pts: r.pts, bound: len(r.pts), next: r.next, full: r.full}
 }
 
 // refValue draws a sample: small integers and fractions, zeros of both
@@ -670,5 +672,217 @@ func TestBucketStart(t *testing.T) {
 		if got < c[1] || got > c[0] || uint64(c[0]-got) >= uint64(c[2]) {
 			t.Fatalf("bucketStart(%d, %d, %d) = %d, outside its step", c[0], c[1], c[2], got)
 		}
+	}
+}
+
+// fillLevels are the point counts at which a growing tier of the given
+// capacity is compared with the preallocated one: empty, one point,
+// around its first growth, around the bound and well past it.
+func fillLevels(capacity int) []int {
+	return []int{0, 1, 7, 8, 9, capacity - 1, capacity, capacity + 1, 3 * capacity}
+}
+
+// nextSample advances tMS for a tier whose slot is slotMS wide: mostly
+// to the next slot, sometimes inside the same millisecond or slot, and
+// sometimes across a gap of many slots.
+func nextSample(rng *rand.Rand, tMS, slotMS int64) int64 {
+	switch rng.Intn(10) {
+	case 0:
+		return tMS // the same millisecond
+	case 1:
+		return tMS + rng.Int63n(slotMS) // often the same slot
+	case 2:
+		return tMS + slotMS*(2+rng.Int63n(200)) // a gap
+	default:
+		return tMS + slotMS
+	}
+}
+
+// sameTier fails unless the growing ring reads exactly as the
+// preallocated one, and holds no more bytes than its bound (all of them
+// once it is full).
+func sameTier(t *testing.T, what string, rng *rand.Rand, r *ring, ref *preallocRing) {
+	t.Helper()
+	if r.length() != ref.length() || r.capacity() != ref.capacity() {
+		t.Fatalf("%s: length/capacity %d/%d, reference %d/%d", what, r.length(), r.capacity(), ref.length(), ref.capacity())
+	}
+	o, ok := r.oldest()
+	if ro, rok := ref.oldest(); o != ro || ok != rok {
+		t.Fatalf("%s: oldest %d %v, reference %d %v", what, o, ok, ro, rok)
+	}
+	collect := func(scan func(int64, int64, func(Point)), from, to int64) []Point {
+		var pts []Point
+		scan(from, to, func(p Point) { pts = append(pts, p) })
+		return pts
+	}
+	all := collect(ref.scan, math.MinInt64, math.MaxInt64)
+	windows := [][2]int64{{math.MinInt64, math.MaxInt64}}
+	for i := 0; i < 6 && len(all) > 0; i++ {
+		a, b := all[rng.Intn(len(all))].T, all[rng.Intn(len(all))].T
+		windows = append(windows, [2]int64{min(a, b) - rng.Int63n(2), max(a, b) + rng.Int63n(2)})
+	}
+	for _, w := range windows {
+		got, want := collect(r.scan, w[0], w[1]), collect(ref.scan, w[0], w[1])
+		if len(got) != len(want) {
+			t.Fatalf("%s: scan %v found %d points, reference %d", what, w, len(got), len(want))
+		}
+		for i := range got {
+			if !samePoint(got[i], want[i]) {
+				t.Fatalf("%s: scan %v point %d = %+v, reference %+v", what, w, i, got[i], want[i])
+			}
+		}
+		for _, from := range w {
+			p, ok := r.lastBefore(from)
+			if rp, rok := ref.lastBefore(from); ok != rok || !samePoint(p, rp) {
+				t.Fatalf("%s: lastBefore(%d) = %+v %v, reference %+v %v", what, from, p, ok, rp, rok)
+			}
+		}
+	}
+	slotBytes := pointBytes
+	if r.resMS == 0 {
+		slotBytes = sampleBytes
+	}
+	bound := r.capacity() * slotBytes
+	if r.bytes() > bound || (r.length() == r.capacity() && r.bytes() != bound) {
+		t.Fatalf("%s: holds %d B with %d of %d points, bound %d B", what, r.bytes(), r.length(), r.capacity(), bound)
+	}
+}
+
+// TestGrowingTierMatchesPrealloc drives every tier, alone and as the
+// three tiers of a store's series, through the growing ring and through
+// the preallocated ring it replaced (ring_ref_test.go), with gaps,
+// samples in one slot and samples in one millisecond. At fill levels
+// 0, 1, 7–9, capacity−1, capacity, capacity+1 and 3 × capacity every
+// ring read, query, catalog and history dump must be byte-identical,
+// and each tier holds at most its bound's bytes, exactly them when full.
+func TestGrowingTierMatchesPrealloc(t *testing.T) {
+	for _, sp := range []struct {
+		resMS    int64
+		capacity int
+	}{{0, rawCapacity}, {midResMS, midCapacity}, {longResMS, longCapacity}, {0, 5}, {midResMS, 12}} {
+		rng := rand.New(rand.NewSource(sp.resMS + int64(sp.capacity)))
+		r, ref := newRing(sp.resMS, sp.capacity), newPreallocRing(sp.resMS, sp.capacity)
+		slotMS := max(sp.resMS, 1000)
+		tMS := int64(1_700_000_000_000) + rng.Int63n(slotMS)
+		written := 0
+		for _, level := range fillLevels(sp.capacity) {
+			for written < level {
+				tMS = nextSample(rng, tMS, slotMS)
+				v := refValue(rng)
+				next, full := ref.next, ref.full
+				r.observe(tMS, v)
+				ref.observe(tMS, v)
+				if ref.next != next || ref.full != full {
+					written++
+				}
+			}
+			sameTier(t, fmt.Sprintf("res %d cap %d at %d points", sp.resMS, sp.capacity, level), rng, r, ref)
+		}
+	}
+
+	rng := rand.New(rand.NewSource(7))
+	st := New(Config{Registry: obs.NewRegistry(), Interval: time.Second, Bus: obs.NewBus()})
+	refs := []*preallocRing{newPreallocRing(0, rawCapacity),
+		newPreallocRing(midResMS, midCapacity), newPreallocRing(longResMS, longCapacity)}
+	tMS := int64(1_700_000_000_000) + rng.Int63n(longResMS)
+	written := 0
+	var levels []int
+	for _, c := range []int{rawCapacity, midCapacity, longCapacity} {
+		levels = append(levels, fillLevels(c)...)
+	}
+	sort.Ints(levels)
+	for _, level := range levels {
+		for written < level {
+			tMS = nextSample(rng, tMS, longResMS)
+			v := refValue(rng)
+			next := refs[0].next
+			st.mu.Lock()
+			st.observeLocked("g", KindGauge, tMS, v)
+			if st.firstMS == 0 {
+				st.firstMS = tMS
+			}
+			st.lastMS = tMS
+			st.mu.Unlock()
+			for _, ref := range refs {
+				ref.observe(tMS, v)
+			}
+			if refs[0].next != next || refs[0].full {
+				written++
+			}
+		}
+		twin := New(Config{Registry: obs.NewRegistry(), Interval: time.Second, Bus: obs.NewBus()})
+		twin.firstMS, twin.lastMS = st.firstMS, st.lastMS
+		if s := st.series["g"]; s != nil {
+			twin.series["g"] = &series{name: "g", kind: s.kind, samples: s.samples,
+				tiers: []*ring{refs[0].ring(), refs[1].ring(), refs[2].ring()}}
+			for i, r := range s.tiers {
+				sameTier(t, fmt.Sprintf("store tier %s after %d raw points", tierNames[i], level), rng, r, refs[i])
+			}
+		}
+		first, last := st.firstMS, st.lastMS
+		windows := [][2]int64{{first, last}, {last - 30_000, last}, {last - 10*60_000, last},
+			{last - 2*3_600_000, last}, {last - 24*3_600_000, last}, {first - 3_600_000, first + 600_000}}
+		for i := 0; i < 3; i++ {
+			a, b := first+rng.Int63n(last-first+1), first+rng.Int63n(last-first+1)
+			windows = append(windows, [2]int64{min(a, b), max(a, b)})
+		}
+		for _, w := range windows {
+			for _, step := range []int64{0, 1000, 15_000, 45_000, 120_000, 3_600_000} {
+				for _, agg := range Aggregations {
+					got, gerr := st.QueryRange("g", w[0], w[1], step, agg)
+					want, werr := twin.QueryRange("g", w[0], w[1], step, agg)
+					if gj, wj := mustJSON(t, got, gerr), mustJSON(t, want, werr); gj != wj {
+						t.Fatalf("after %d raw points, %v step %d agg %s:\n got %s\nwant %s", level, w, step, agg, gj, wj)
+					}
+				}
+			}
+		}
+		if g, w := mustJSON(t, st.Series(), nil), mustJSON(t, twin.Series(), nil); g != w {
+			t.Fatalf("after %d raw points, catalog:\n got %s\nwant %s", level, g, w)
+		}
+		for _, d := range []time.Duration{time.Minute, time.Hour, 48 * time.Hour} {
+			if g, w := mustJSON(t, st.RecentHistory(d), nil), mustJSON(t, twin.RecentHistory(d), nil); g != w {
+				t.Fatalf("after %d raw points, RecentHistory(%s):\n got %s\nwant %s", level, d, g, w)
+			}
+		}
+	}
+}
+
+// TestRingBytesGauge pins tsdb.ring_bytes: nothing before the first
+// scrape, eight slots per tier once series exist, and exactly
+// series × 57,600 B once every tier has filled.
+func TestRingBytesGauge(t *testing.T) {
+	reg := obs.NewRegistry()
+	st := New(Config{Registry: reg, Interval: time.Second, Bus: obs.NewBus()})
+	gauge := func() float64 { return reg.Snapshot().Gauges[RingBytesMetric] }
+	if g := gauge(); g != 0 {
+		t.Fatalf("fresh store: %s = %g, want 0", RingBytesMetric, g)
+	}
+	reg.Gauge("g").Set(1)
+	reg.Counter("c").Inc()
+	t0 := time.UnixMilli(1_700_000_000_000)
+	for i := 0; i < 3; i++ {
+		st.ScrapeAt(t0.Add(time.Duration(i) * time.Second))
+	}
+	// A tier's first eight slots: 8 × 16 B raw + 2 × 8 × 40 B bucketed.
+	nseries := float64(len(st.Series().Series))
+	if g, want := gauge(), nseries*(8*16+2*8*40); g != want {
+		t.Fatalf("after 3 scrapes of %g series: %s = %g, want %g", nseries, RingBytesMetric, g, want)
+	}
+	// Two minutes apart, every scrape opens a point in all three tiers,
+	// so the 2m tier's 720 points fill every tier.
+	for i := 0; i < longCapacity; i++ {
+		st.ScrapeAt(t0.Add(time.Hour + time.Duration(i)*2*time.Minute))
+	}
+	for _, s := range st.Series().Series {
+		for _, tier := range s.Tiers {
+			if tier.Points != tier.Capacity {
+				t.Fatalf("series %s tier %s holds %d of %d points", s.Name, tier.Name, tier.Points, tier.Capacity)
+			}
+		}
+	}
+	nseries = float64(len(st.Series().Series))
+	if g, want := gauge(), nseries*57_600; g != want {
+		t.Fatalf("full store of %g series: %s = %g, want %g", nseries, RingBytesMetric, g, want)
 	}
 }
