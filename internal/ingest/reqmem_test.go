@@ -44,10 +44,6 @@ func TestHTTPIngestAllocsFlat(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A quality epoch allocates its snapshot when it rotates, once per
-	// rotateEvery windows: a cost per window, which 512-window requests
-	// would pay eight times as often. The gate keeps rotations out.
-	s.rotateEvery = 1 << 30
 	// Workers stay unstarted: the drain is driven directly, between
 	// requests, so the queue is empty when each request arrives.
 	h := s.Handler()

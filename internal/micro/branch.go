@@ -44,30 +44,23 @@ func NewBranchPredictor(histBits uint, btbEntries int) *BranchPredictor {
 	return bp
 }
 
+// ctrNext[taken][ctr] is the next state of a 2-bit saturating counter.
+var ctrNext = [2][4]uint8{{0, 0, 1, 2}, {1, 2, 3, 3}}
+
 // Predict consumes one conditional branch at pc with actual outcome taken,
 // updates the predictor, and reports whether the direction was predicted
-// correctly.
+// correctly. Outcomes are as random as the workload makes them, so the
+// counter and history updates are table lookups and ORs, not branches.
 func (b *BranchPredictor) Predict(pc uint64, taken bool) bool {
 	b.Branches++
-	idx := (pc ^ b.history) & ((1 << b.histBits) - 1)
+	t := b2u(taken)
+	mask := uint64(1)<<b.histBits - 1
+	idx := (pc ^ b.history) & mask
 	ctr := b.counters[idx]
-	predictedTaken := ctr >= 2
-
-	correct := predictedTaken == taken
-	if !correct {
-		b.Mispredicted++
-	}
-	// Update 2-bit counter.
-	if taken && ctr < 3 {
-		b.counters[idx] = ctr + 1
-	} else if !taken && ctr > 0 {
-		b.counters[idx] = ctr - 1
-	}
-	// Update global history.
-	b.history = (b.history << 1) & ((1 << b.histBits) - 1)
-	if taken {
-		b.history |= 1
-	}
+	correct := (ctr >= 2) == taken
+	b.Mispredicted += b2u(!correct)
+	b.counters[idx] = ctrNext[t&1][ctr&3]
+	b.history = (b.history<<1 | t) & mask
 
 	// Taken branches consult the BTB for a target.
 	if taken {
@@ -108,4 +101,13 @@ func (b *BranchPredictor) Flush() {
 	}
 	b.history = 0
 	b.ResetStats()
+}
+
+// b2u returns 1 for true and 0 for false; it compiles to a flag move, so
+// a counter that adds it has no branch.
+func b2u(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }

@@ -19,11 +19,13 @@ type Cache struct {
 	lineBits uint // log2(line size)
 	setMask  uint64
 
-	// slots holds the sets*ways lines, set-major. age is the clock at the
-	// slot's last use, with bit 0 set while a prefetched line awaits its
-	// first demand; 0 marks an invalid slot. The clock steps by 2, so valid
-	// ages are distinct and the smallest is the least recently used.
-	slots []struct{ tag, age uint64 }
+	// tags and ages hold the sets*ways slots, set-major. An invalid slot
+	// has age 0 and tag invalidTag. A valid slot's age is the clock at its
+	// last use, with bit 0 set while a prefetched line awaits its first
+	// demand. The clock steps by 2, so valid ages are distinct and the
+	// smallest is the least recently used.
+	tags  []uint64
+	ages  []uint64
 	clock uint64
 	last  int // slot of the last demand access, checked before the set scan
 
@@ -63,13 +65,16 @@ func NewCache(name string, size, ways, lineSize int) (*Cache, error) {
 	for 1<<lb < lineSize {
 		lb++
 	}
-	return &Cache{
+	c := &Cache{
 		sets:     sets,
 		ways:     ways,
 		lineBits: lb,
 		setMask:  uint64(sets - 1),
-		slots:    make([]struct{ tag, age uint64 }, sets*ways),
-	}, nil
+		tags:     make([]uint64, sets*ways),
+		ages:     make([]uint64, sets*ways),
+	}
+	c.Flush()
+	return c, nil
 }
 
 // MustCache is NewCache that panics on configuration error; used for the
@@ -87,6 +92,11 @@ func MustCache(name string, size, ways, lineSize int) *Cache {
 // policy for streaming access patterns.
 func (c *Cache) EnablePrefetcher() { c.prefetchNext = true }
 
+// invalidTag is the tag of an invalid slot. Only a cache of one-byte
+// lines can hold a line equal to it, so a match on it also needs a
+// nonzero age.
+const invalidTag = ^uint64(0)
+
 // Access looks up addr, fills on miss, and reports whether it hit.
 func (c *Cache) Access(addr uint64) bool {
 	line := addr >> c.lineBits
@@ -94,22 +104,22 @@ func (c *Cache) Access(addr uint64) bool {
 	c.Accesses++
 	// The last demand slot holds line exactly when the set scan would
 	// find it there: a line is resident in at most one slot.
-	s := &c.slots[c.last]
-	if s.tag != line || s.age == 0 {
-		i, hit := c.find(line)
-		c.last = i
-		s = &c.slots[i]
-		if !hit {
+	i := c.last
+	if c.tags[i] != line || c.ages[i] == 0 {
+		hit, victim := c.find(line)
+		if hit < 0 || c.ages[hit] == 0 {
+			c.last = victim
 			c.Misses++
-			s.tag, s.age = line, c.clock
+			c.tags[victim], c.ages[victim] = line, c.clock
 			if c.prefetchNext {
 				c.prefetch(line + 1)
 			}
 			return false
 		}
+		i, c.last = hit, hit
 	}
-	c.PrefetchUseful += s.age & 1
-	s.age = c.clock
+	c.PrefetchUseful += c.ages[i] & 1
+	c.ages[i] = c.clock
 	return true
 }
 
@@ -118,37 +128,43 @@ func (c *Cache) Access(addr uint64) bool {
 func (c *Cache) prefetch(line uint64) {
 	c.clock += 2
 	c.Prefetches++
-	i, hit := c.find(line)
-	s := &c.slots[i]
-	if hit {
-		s.age = c.clock | s.age&1
+	hit, victim := c.find(line)
+	if hit >= 0 && c.ages[hit] != 0 {
+		c.ages[hit] = c.clock | c.ages[hit]&1
 		return
 	}
 	c.PrefetchMisses++
-	s.tag, s.age = line, c.clock|1
+	c.tags[victim], c.ages[victim] = line, c.clock|1
 }
 
-// find scans line's set and returns the slot holding it, or, on a miss,
-// the slot to refill: the last invalid slot of the set, else the least
-// recently used one.
-func (c *Cache) find(line uint64) (int, bool) {
+// find scans line's set and returns the last slot whose tag is line (-1
+// if none) and the slot to refill on a miss: the last invalid slot, else
+// the least recently used one. Which way matches and which is oldest are
+// as random as the address, so the loop compiles to conditional moves:
+// one compare per way and no early exit.
+//
+// When line equals invalidTag the match may be an invalid slot, so
+// callers count a match of age 0 as a miss. That is exact because a
+// set's invalid slots lie below its valid ones (only Flush invalidates,
+// and then every slot, and a refill takes the last invalid slot): the
+// last match is the resident slot if there is one, else the victim.
+func (c *Cache) find(line uint64) (hit, victim int) {
 	base := int(line&c.setMask) * c.ways
-	set := c.slots[base : base+c.ways]
-	for i := range set {
-		if set[i].tag == line && set[i].age != 0 {
-			return base + i, true
+	tags := c.tags[base : base+c.ways]
+	ages := c.ages[base : base+len(tags)]
+	hit = -1
+	oldest := ^uint64(0)
+	for i, t := range tags {
+		if t == line {
+			hit = base + i
 		}
-	}
-	// Written to compile without branches: which slot is oldest is unpredictable.
-	victim, oldest := 0, ^uint64(0)
-	for i := range set {
-		a := set[i].age
+		a := ages[i]
 		if a <= oldest {
-			victim = i
+			victim = base + i
 		}
 		oldest = min(oldest, a)
 	}
-	return base + victim, false
+	return hit, victim
 }
 
 // Sets returns the number of sets.
@@ -184,9 +200,10 @@ func (c *Cache) ResetStats() {
 // Flush invalidates all lines and clears statistics (e.g. a fresh
 // container/machine per measured sample).
 func (c *Cache) Flush() {
-	for i := range c.slots {
-		c.slots[i].age = 0
+	for i := range c.tags {
+		c.tags[i] = invalidTag
 	}
+	clear(c.ages)
 	c.clock = 0
 	c.ResetStats()
 }

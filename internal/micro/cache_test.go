@@ -231,6 +231,58 @@ func TestBranchPredictorFlush(t *testing.T) {
 	}
 }
 
+// TestBranchPredictorMatchesReference drives Predict and the branchy
+// reference in branch_ref_test.go on twin predictors with the same
+// seeded streams, Flush and ResetStats calls included, and requires
+// every result, every statistic, the counters, the history and the BTB
+// to agree, from one history bit to the Haswell table.
+func TestBranchPredictorMatchesReference(t *testing.T) {
+	for seed := uint64(1); seed <= 24; seed++ {
+		src := rng.New(seed)
+		histBits := []uint{1, 2, 5, 10, 14}[seed%5]
+		btb := 1 << src.Intn(13)
+		got, want := NewBranchPredictor(histBits, btb), NewBranchPredictor(histBits, btb)
+		pcs := make([]uint64, 1+src.Intn(64))
+		for i := range pcs {
+			pcs[i] = uint64(src.Int63()) >> src.Intn(60)
+		}
+		bias := src.Float64()
+		for op := 0; op < 50_000; op++ {
+			switch r := src.Intn(5_000); {
+			case r == 0:
+				got.Flush()
+				want.Flush()
+			case r < 4:
+				got.ResetStats()
+				want.ResetStats()
+			default:
+				pc := pcs[src.Intn(len(pcs))]
+				if src.Intn(10) == 0 {
+					pc = uint64(src.Int63()) << src.Intn(2)
+				}
+				// Mostly biased per PC, so counters saturate both ways.
+				taken := src.Bool(bias)
+				if src.Intn(4) != 0 {
+					taken = (pc>>3)&1 == 0
+				}
+				if g, w := got.Predict(pc, taken), refPredict(want, pc, taken); g != w {
+					t.Fatalf("seed %d op %d: Predict(%#x, %v) = %v, reference %v", seed, op, pc, taken, g, w)
+				}
+			}
+			if g, w := [4]uint64{got.Branches, got.Mispredicted, got.BTBLookups, got.BTBMisses},
+				[4]uint64{want.Branches, want.Mispredicted, want.BTBLookups, want.BTBMisses}; g != w || got.history != want.history {
+				t.Fatalf("seed %d op %d: stats %v history %#x, reference %v %#x", seed, op, g, got.history, w, want.history)
+			}
+		}
+		if string(got.counters) != string(want.counters) || fmt.Sprint(got.btbTags, got.btbOK) != fmt.Sprint(want.btbTags, want.btbOK) {
+			t.Fatalf("seed %d: learned state differs from the reference", seed)
+		}
+		if got.Mispredicted == 0 || got.BTBMisses == 0 {
+			t.Fatalf("seed %d: stream exercised too little: %d mispredicts, %d BTB misses", seed, got.Mispredicted, got.BTBMisses)
+		}
+	}
+}
+
 func TestPrefetcherHelpsSequentialStreams(t *testing.T) {
 	// Sequential sweep over 4x the cache: without prefetch every line
 	// misses; with next-line prefetch roughly half the demand misses go
@@ -304,9 +356,10 @@ func TestPrefetchStatsClearOnReset(t *testing.T) {
 // cache_ref_test.go with the same seeded address streams, Flush and
 // ResetStats calls included, and requires every Access result and every
 // statistic to agree, on degenerate geometries and on every cache and TLB
-// of DefaultConfig, with the prefetcher on and off.
+// geometry of DefaultConfig and HaswellConfig, with the prefetcher on and
+// off.
 func TestCacheMatchesReference(t *testing.T) {
-	cfg := DefaultConfig()
+	cfg, hw := DefaultConfig(), HaswellConfig()
 	geoms := []struct {
 		name             string
 		size, ways, line int
@@ -321,6 +374,13 @@ func TestCacheMatchesReference(t *testing.T) {
 		// A TLB is a one-set cache of one-byte lines indexed by page number.
 		{name: "iTLB", size: cfg.ITLBEntries, ways: cfg.ITLBEntries, line: 1},
 		{name: "dTLB", size: cfg.DTLBEntries, ways: cfg.DTLBEntries, line: 1},
+		// HaswellConfig, whose L1I and L1D share one geometry: a 12-way
+		// LLC of 8,192 sets and 128- and 64-way TLBs.
+		{name: "haswell/L1", size: hw.L1DSize, ways: hw.L1DWays, line: hw.LineSize},
+		{name: "haswell/L2", size: hw.L2Size, ways: hw.L2Ways, line: hw.LineSize},
+		{name: "haswell/LLC", size: hw.LLCSize, ways: hw.LLCWays, line: hw.LineSize},
+		{name: "haswell/iTLB", size: hw.ITLBEntries, ways: hw.ITLBEntries, line: 1},
+		{name: "haswell/dTLB", size: hw.DTLBEntries, ways: hw.DTLBEntries, line: 1},
 	}
 	seed := uint64(0)
 	for _, g := range geoms {
@@ -361,6 +421,101 @@ func TestCacheMatchesReference(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestCacheTopLineMatchesReference: in a cache of one-byte lines, line
+// 2^64−1 equals the tag of an invalid slot, so only the slot's zero age
+// tells the two apart. The top lines of the address space and the bottom
+// ones, where their next-line prefetches wrap, are accessed on a fresh
+// cache and after Flush, and every result and statistic must agree with
+// the reference model.
+func TestCacheTopLineMatchesReference(t *testing.T) {
+	seed := uint64(0)
+	for _, ways := range []int{1, 4, 16} {
+		for _, sets := range []int{1, 4} {
+			for _, pf := range []bool{false, true} {
+				got := MustCache("top", sets*ways, ways, 1)
+				want, err := newRefCache("top", sets*ways, ways, 1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if pf {
+					got.EnablePrefetcher()
+					want.EnablePrefetcher()
+				}
+				seed++
+				src := rng.New(seed)
+				top := ^uint64(0)
+				// Scripted first: the top line cold, warm, beside its
+				// neighbours, and cold again after Flush; then random.
+				script := []uint64{top, top, top - 1, 0, top, 1, top - 2, top}
+				for op := 0; op < 4_000; op++ {
+					var addr uint64
+					switch {
+					case op == len(script) || op > len(script) && src.Intn(50) == 0:
+						got.Flush()
+						want.Flush()
+						continue
+					case op < len(script):
+						addr = script[op]
+					case src.Intn(2) == 0:
+						addr = top - uint64(src.Intn(2*sets*ways))
+					default:
+						addr = uint64(src.Intn(2 * sets * ways))
+					}
+					if h, w := got.Access(addr), want.Access(addr); h != w {
+						t.Fatalf("ways=%d sets=%d prefetch=%v op %d: Access(%#x) = %v, reference %v",
+							ways, sets, pf, op, addr, h, w)
+					}
+					if a, b := cacheStats(got), refStats(want); a != b {
+						t.Fatalf("ways=%d sets=%d prefetch=%v op %d: stats %+v, reference %+v",
+							ways, sets, pf, op, a, b)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestCacheInvalidSlotsBelowValid checks the ordering find relies on:
+// after any stream of accesses, prefetches, ResetStats and Flush calls,
+// every set's invalid slots (age 0, tag invalidTag) lie below its valid
+// ones (nonzero age), so the last slot that matches a line is the
+// resident one.
+func TestCacheInvalidSlotsBelowValid(t *testing.T) {
+	f := func(seed uint64) bool {
+		src := rng.New(seed)
+		ways, sets, line := 1<<src.Intn(5), 1<<src.Intn(4), 1<<(6*src.Intn(2))
+		c := MustCache("order", sets*ways*line, ways, line)
+		if src.Intn(2) == 0 {
+			c.EnablePrefetcher()
+		}
+		stream := newAddrStream(src, uint64(4*sets*ways*line))
+		for op := 0; op < 2_000; op++ {
+			switch src.Intn(300) {
+			case 0:
+				c.Flush()
+			case 1:
+				c.ResetStats()
+			default:
+				c.Access(stream.next())
+			}
+			for base := 0; base < len(c.ages); base += ways {
+				seenValid := false
+				for i := base; i < base+ways; i++ {
+					valid := c.ages[i] != 0
+					if !valid && (seenValid || c.tags[i] != invalidTag) {
+						return false
+					}
+					seenValid = seenValid || valid
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -202,14 +202,10 @@ func (m *Machine) memAccess(addr uint64, store bool, c *Counts) {
 	// TLB
 	if store {
 		c.DTLBStores++
-		if !m.dtlb.Access(addr) {
-			c.DTLBStoreMiss++
-		}
+		c.DTLBStoreMiss += b2u(!m.dtlb.Access(addr))
 	} else {
 		c.DTLBLoads++
-		if !m.dtlb.Access(addr) {
-			c.DTLBLoadMisses++
-		}
+		c.DTLBLoadMisses += b2u(!m.dtlb.Access(addr))
 	}
 	// L1D
 	if store {
@@ -252,9 +248,7 @@ func (m *Machine) memAccess(addr uint64, store bool, c *Counts) {
 // ifetch performs one instruction-fetch access (a 16-byte fetch group).
 func (m *Machine) ifetch(addr uint64, c *Counts) {
 	c.ITLBLoads++
-	if !m.itlb.Access(addr) {
-		c.ITLBLoadMisses++
-	}
+	c.ITLBLoadMisses += b2u(!m.itlb.Access(addr))
 	c.L1ICacheLoads++
 	if m.l1i.Access(addr) {
 		return
@@ -375,9 +369,7 @@ func (m *Machine) branch(b *Block, codeFP uint64, c *Counts) {
 	}
 	correct := m.bp.Predict(pc, taken)
 	c.BranchInstructions++
-	if !correct {
-		c.BranchMisses++
-	}
+	c.BranchMisses += b2u(!correct)
 	if taken {
 		// BTB lookups/misses accrue inside the predictor and are folded
 		// into the counts by fillTiming at the end of the block.

@@ -6,6 +6,7 @@ package oner
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/ml"
@@ -108,11 +109,20 @@ func (o *OneR) buildRule(x [][]float64, y []int, a, numClasses, minBucket int) (
 		v     float64
 		label int
 	}
-	pairs := make([]pair, len(x))
+	pairs := make([]pair, 0, len(x))
 	for i := range x {
-		pairs[i] = pair{x[i][a], y[i]}
+		if v := x[i][a]; !math.IsNaN(v) {
+			pairs = append(pairs, pair{v, y[i]})
+		}
 	}
 	sort.Slice(pairs, func(i, j int) bool { return pairs[i].v < pairs[j].v })
+	// NaNs go after every number, so the values ascend and the NaNs end
+	// the last interval, where Predict's binary search sends a NaN feature.
+	for i := range x {
+		if v := x[i][a]; math.IsNaN(v) {
+			pairs = append(pairs, pair{v, y[i]})
+		}
+	}
 
 	// Greedy interval construction: extend the current interval until its
 	// majority class has at least MinBucket members, then close it at the
@@ -139,8 +149,8 @@ func (o *OneR) buildRule(x [][]float64, y []int, a, numClasses, minBucket int) (
 		_, maxCount := maxOf(cur.count)
 		if maxCount >= minBucket {
 			// Close only at a value boundary so equal values never span
-			// two intervals.
-			if i+1 < len(pairs) && pairs[i+1].v != pairs[i].v {
+			// two intervals; the NaNs, sorted last, count as one value.
+			if i+1 < len(pairs) && pairs[i+1].v != pairs[i].v && !math.IsNaN(pairs[i].v) {
 				flush()
 			}
 		}

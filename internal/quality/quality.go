@@ -153,6 +153,7 @@ type Scoreboard struct {
 	cfg       Config
 	names     []string
 	epochs    []*epoch
+	win       *epoch // the sliding window, merged into scratch by mergeLocked
 	cur       int
 	rotations int64
 	observed  int64
@@ -164,7 +165,8 @@ type Scoreboard struct {
 // NewScoreboard builds a scoreboard and registers its gauges.
 func NewScoreboard(cfg Config) *Scoreboard {
 	cfg.fillDefaults()
-	s := &Scoreboard{cfg: cfg, names: classNames(cfg.NumClasses)}
+	s := &Scoreboard{cfg: cfg, names: classNames(cfg.NumClasses),
+		win: newEpoch(cfg.NumClasses, scoreBins)}
 	for i := 0; i < epochs; i++ {
 		s.epochs = append(s.epochs, newEpoch(cfg.NumClasses, scoreBins))
 	}
@@ -249,25 +251,91 @@ func (s *Scoreboard) ObserveChunk(actual, predicted []int, scores []float64) {
 // service calls it every 4096 windows of a tenant; rotation is the only
 // form of eviction, so within-epoch observation order never changes a
 // count. The calibration score sums are float adds: they hold the same
-// bits when the windows are observed in the same order.
+// bits when the windows are observed in the same order. The gauges read
+// the merged window directly, with the snapshot's arithmetic, so they
+// equal the Snapshot fields bit for bit and a rotation allocates nothing.
 func (s *Scoreboard) Advance() {
 	s.mu.Lock()
 	s.cur = (s.cur + 1) % len(s.epochs)
 	s.epochs[s.cur].reset()
 	s.rotations++
-	snap := s.snapshotLocked()
+	w := s.mergeLocked()
+	acc := w.conf.Accuracy()
+	prec, rec, f1, fpr := headline(w.conf)
+	ece, n := w.ece(), w.n
 	s.mu.Unlock()
-	s.export(snap)
+	s.gAcc.Set(acc)
+	s.gPrec.Set(prec)
+	s.gRec.Set(rec)
+	s.gF1.Set(f1)
+	s.gFPR.Set(fpr)
+	s.gECE.Set(ece)
+	s.gWin.Set(float64(n))
 }
 
-func (s *Scoreboard) export(q QualitySnapshot) {
-	s.gAcc.Set(q.Accuracy)
-	s.gPrec.Set(q.Precision)
-	s.gRec.Set(q.Recall)
-	s.gF1.Set(q.F1)
-	s.gFPR.Set(q.FPR)
-	s.gECE.Set(q.ECE)
-	s.gWin.Set(float64(q.WindowObserved))
+// mergeLocked sums every epoch, in ring-slot order, into the
+// scoreboard's scratch window and returns it. Snapshot and Advance both
+// read it, so each float sum adds its terms in one order.
+func (s *Scoreboard) mergeLocked() *epoch {
+	w := s.win
+	w.reset()
+	for _, e := range s.epochs {
+		w.conf.Merge(e.conf)
+		for c, h := range e.scoreHist {
+			for b, v := range h {
+				w.scoreHist[c][b] += v
+			}
+		}
+		for b := range w.calN {
+			w.calN[b] += e.calN[b]
+			w.calScore[b] += e.calScore[b]
+			w.calPos[b] += e.calPos[b]
+		}
+		w.n += e.n
+	}
+	return w
+}
+
+// headline returns the exported precision, recall, F1 and FPR: the
+// positive class's on a binary board, macro averages otherwise.
+func headline(conf *eval.Confusion) (prec, rec, f1, fpr float64) {
+	k := conf.NumClasses
+	if k == 2 {
+		return conf.Precision(1), conf.Recall(1), conf.F1(1), conf.FalsePositiveRate(1)
+	}
+	for c := 0; c < k; c++ {
+		prec += conf.Precision(c)
+		rec += conf.Recall(c)
+		fpr += conf.FalsePositiveRate(c)
+	}
+	return prec / float64(k), rec / float64(k), conf.MacroF1(), fpr / float64(k)
+}
+
+// calBin returns the mean claimed score and the observed positive rate of
+// calibration bin b, which must hold windows.
+func (e *epoch) calBin(b int) (meanScore, positiveRate float64) {
+	n := float64(e.calN[b])
+	return e.calScore[b] / n, float64(e.calPos[b]) / n
+}
+
+// ece returns the expected calibration error: the support-weighted mean
+// |claimed score − observed positive rate| across bins.
+func (e *epoch) ece() float64 {
+	if e.n == 0 {
+		return 0
+	}
+	var sum float64
+	for b, n := range e.calN {
+		if n > 0 {
+			mean, rate := e.calBin(b)
+			diff := mean - rate
+			if diff < 0 {
+				diff = -diff
+			}
+			sum += diff * float64(n)
+		}
+	}
+	return sum / float64(e.n)
 }
 
 // ClassMetrics is one class's row of the scoreboard.
@@ -339,40 +407,20 @@ func (s *Scoreboard) Snapshot() QualitySnapshot {
 
 func (s *Scoreboard) snapshotLocked() QualitySnapshot {
 	k, bins := s.cfg.NumClasses, scoreBins
-	conf := eval.NewConfusion(k)
-	hist := make([][]int64, k)
-	for i := range hist {
-		hist[i] = make([]int64, bins)
-	}
-	calN := make([]int64, bins)
-	calScore := make([]float64, bins)
-	calPos := make([]int64, bins)
-	var windowN int64
-	for _, e := range s.epochs {
-		conf.Merge(e.conf)
-		for c := 0; c < k; c++ {
-			for b := 0; b < bins; b++ {
-				hist[c][b] += e.scoreHist[c][b]
-			}
-		}
-		for b := 0; b < bins; b++ {
-			calN[b] += e.calN[b]
-			calScore[b] += e.calScore[b]
-			calPos[b] += e.calPos[b]
-		}
-		windowN += e.n
-	}
-
+	w := s.mergeLocked()
+	conf := w.conf
 	q := QualitySnapshot{
 		Observed:       s.observed,
-		WindowObserved: windowN,
+		WindowObserved: w.n,
 		Epochs:         len(s.epochs),
 		Rotations:      s.rotations,
 		Classes:        append([]string{}, s.names...),
 		Accuracy:       conf.Accuracy(),
 		MacroF1:        conf.MacroF1(),
 		ScoreBins:      bins,
+		ECE:            w.ece(),
 	}
+	q.Precision, q.Recall, q.F1, q.FPR = headline(conf)
 	q.Confusion = make([][]int, k)
 	for a := 0; a < k; a++ {
 		q.Confusion[a] = append([]int{}, conf.Counts[a]...)
@@ -392,42 +440,16 @@ func (s *Scoreboard) snapshotLocked() QualitySnapshot {
 		})
 		q.ScoreHistograms = append(q.ScoreHistograms, ScoreHistogram{
 			Class:  s.names[c],
-			Counts: append([]int64{}, hist[c]...),
+			Counts: append([]int64{}, w.scoreHist[c]...),
 		})
 	}
-	if k == 2 {
-		q.Precision = conf.Precision(1)
-		q.Recall = conf.Recall(1)
-		q.F1 = conf.F1(1)
-		q.FPR = conf.FalsePositiveRate(1)
-	} else {
-		var p, r, fpr float64
-		for c := 0; c < k; c++ {
-			p += conf.Precision(c)
-			r += conf.Recall(c)
-			fpr += conf.FalsePositiveRate(c)
-		}
-		q.Precision, q.Recall, q.FPR = p/float64(k), r/float64(k), fpr/float64(k)
-		q.F1 = q.MacroF1
-	}
-
 	width := 1 / float64(bins)
-	var eceSum float64
 	for b := 0; b < bins; b++ {
-		cb := CalibrationBin{Lo: float64(b) * width, Hi: float64(b+1) * width, Count: calN[b]}
-		if calN[b] > 0 {
-			cb.MeanScore = calScore[b] / float64(calN[b])
-			cb.PositiveRate = float64(calPos[b]) / float64(calN[b])
-			diff := cb.MeanScore - cb.PositiveRate
-			if diff < 0 {
-				diff = -diff
-			}
-			eceSum += diff * float64(calN[b])
+		cb := CalibrationBin{Lo: float64(b) * width, Hi: float64(b+1) * width, Count: w.calN[b]}
+		if w.calN[b] > 0 {
+			cb.MeanScore, cb.PositiveRate = w.calBin(b)
 		}
 		q.Calibration = append(q.Calibration, cb)
-	}
-	if windowN > 0 {
-		q.ECE = eceSum / float64(windowN)
 	}
 	return q
 }

@@ -288,3 +288,72 @@ func TestScoreboardChunkMatchesReference(t *testing.T) {
 		t.Fatalf("observed %d windows from empty and unlabeled chunks", q.Observed)
 	}
 }
+
+// scoreStream is a random labeled stream for a k-class board: in-range
+// labels and predictions, and scores that are mostly uniform but include
+// bin edges, NaN, ±Inf and out-of-range values.
+func scoreStream(src *rand.Rand, k, n int) (actual, predicted []int, scores []float64) {
+	specials := []float64{0, 0.1, 0.5, 1, math.NaN(), math.Inf(1), math.Inf(-1), -0.5, 1.5}
+	actual, predicted, scores = make([]int, n), make([]int, n), make([]float64, n)
+	for i := range actual {
+		actual[i], predicted[i], scores[i] = src.Intn(k), src.Intn(k), src.Float64()
+		if src.Intn(20) == 0 {
+			scores[i] = specials[src.Intn(len(specials))]
+		}
+	}
+	return actual, predicted, scores
+}
+
+// TestScoreboardGaugesMatchSnapshot: after every Advance the seven
+// exported gauges hold exactly the bits of the matching Snapshot fields,
+// on binary and multiclass boards, while the window fills and evicts.
+func TestScoreboardGaugesMatchSnapshot(t *testing.T) {
+	for _, k := range []int{2, 3, 5} {
+		for seed := int64(1); seed <= 10; seed++ {
+			src := rand.New(rand.NewSource(seed))
+			r := obs.NewRegistry()
+			s := NewScoreboard(Config{NumClasses: k, Registry: r})
+			for rot := 0; rot < 3*epochs; rot++ {
+				// Some epochs stay empty, so whole classes and bins come and go.
+				s.ObserveChunk(scoreStream(src, k, src.Intn(3)*src.Intn(200)))
+				s.Advance()
+				q := s.Snapshot()
+				for _, g := range []struct {
+					metric string
+					want   float64
+				}{
+					{AccuracyMetric, q.Accuracy},
+					{PrecisionMetric, q.Precision},
+					{RecallMetric, q.Recall},
+					{F1Metric, q.F1},
+					{FPRMetric, q.FPR},
+					{ECEMetric, q.ECE},
+					{WindowObservedMetric, float64(q.WindowObserved)},
+				} {
+					if got := r.Gauge(g.metric).Value(); math.Float64bits(got) != math.Float64bits(g.want) {
+						t.Fatalf("k=%d seed %d rotation %d: %s gauge %v, snapshot %v", k, seed, rot, g.metric, got, g.want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestScoreboardAdvanceZeroAlloc: a rotation merges the window into
+// scratch the scoreboard owns and builds no snapshot, so once the board
+// is warm it allocates nothing.
+func TestScoreboardAdvanceZeroAlloc(t *testing.T) {
+	for _, k := range []int{2, 4} {
+		s := NewScoreboard(Config{NumClasses: k, Registry: obs.NewRegistry()})
+		actual, predicted, scores := scoreStream(rand.New(rand.NewSource(int64(k))), k, 256)
+		s.ObserveChunk(actual, predicted, scores)
+		s.Advance()
+		allocs := testing.AllocsPerRun(100, func() {
+			s.ObserveChunk(actual, predicted, scores)
+			s.Advance()
+		})
+		if allocs != 0 {
+			t.Fatalf("k=%d: Advance allocates %.1f times per rotation", k, allocs)
+		}
+	}
+}
